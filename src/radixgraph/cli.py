@@ -38,7 +38,11 @@ def _parse_fraction(text: str) -> Fraction:
     m = _FRACTION_RE.match(text)
     if not m:
         raise ParseError(f"expected a fraction K/M with nonnegative integers, got {text!r}")
-    return Fraction(int(m.group(1)), int(m.group(2)))
+    try:
+        k, d = int(m.group(1)), int(m.group(2))
+    except ValueError as exc:  # int() refuses more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"fraction too long to read ({len(text)} characters): {exc}") from None
+    return Fraction(k, d)
 
 
 def cmd_expand(args: argparse.Namespace) -> int:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from .errors import ValidationError
 
 DIGIT_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
+# byte d -> DIGIT_ALPHABET[d], so a digit tuple renders with one translate
+_ALPHABET_TABLE = bytes.maketrans(bytes(range(len(DIGIT_ALPHABET))), DIGIT_ALPHABET.encode("ascii"))
 
 
 @dataclass(frozen=True)
@@ -24,9 +26,10 @@ class DigitString:
     def __post_init__(self) -> None:
         if self.base < 2:
             raise ValidationError(f"base must be >= 2, got {self.base}")
-        for d in self.digits:
-            if not 0 <= d < self.base:
-                raise ValidationError(f"digit {d} out of range for base {self.base}")
+        digits = self.digits
+        if digits and (min(digits) < 0 or max(digits) >= self.base):
+            bad = next(d for d in digits if not 0 <= d < self.base)
+            raise ValidationError(f"digit {bad} out of range for base {self.base}")
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -35,11 +38,18 @@ class DigitString:
         if not self.digits:
             return ""
         if self.base <= 36:
-            return "".join(DIGIT_ALPHABET[d] for d in self.digits)
-        return "[" + ",".join(str(d) for d in self.digits) + "]"
+            return bytes(self.digits).translate(_ALPHABET_TABLE).decode("ascii")
+        return "[" + ",".join(map(str, self.digits)) + "]"
 
     def __str__(self) -> str:
         return self.render()
+
+
+def digit_symbols(digits: tuple[int, ...], base: int) -> list[str]:
+    """Each digit in [0, base) rendered alone, as a one-digit DigitString renders it."""
+    if base <= 36:
+        return list(DigitString(base, digits).render())
+    return [f"[{d}]" for d in digits]
 
 
 def rightmost_digit(x: int, base: int) -> int:

@@ -12,6 +12,11 @@ The pipeline behind expand():
    multiply-by-B graph mod M: each remainder's rightmost base-B digit, in
    order, is the repeating block.
 
+period_digits and period_digits_reversed are one remainder walk, _walk,
+with multiplier B (forward) or n (backward; n is the inverse of B mod M).
+The PeriodTrace they return stores only the remainders; its digits and
+steps are derived from them on access.
+
 long_division_oracle computes the same expansion by schoolbook remainder
 tracking and shares no code with the pipeline; run_oracle_sweep compares the
 two over a grid of inputs.
@@ -20,13 +25,15 @@ two over a grid of inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import count, repeat
+from operator import mod
 from typing import NamedTuple
 
 from .digits import DigitString, to_digit_string, from_digit_string
 from .errors import CapacityError, NotAUnitError, ValidationError, ZeroDenominatorError
 from .graph import GraphParams, cycle_length_of
-from .numtheory import FACTORIZATION_CAP, factorize, mod_inverse
+from .numtheory import FACTORIZATION_CAP, mod_inverse
 
 
 @dataclass(frozen=True)
@@ -97,59 +104,63 @@ class TraceStep(NamedTuple):
 
 @dataclass(frozen=True)
 class PeriodTrace:
-    """Remainder walk around one cycle, with the digit read at each stop."""
+    """Remainder walk around one cycle; digits and steps are views of it.
+
+    remainders holds the stops in walk order. The digit read at each stop is
+    its rightmost base-B digit, remainder mod B, and steps pairs each stop
+    with its 1-based index and digit. Both are computed on access, so a walk
+    stores one integer per stop.
+    """
 
     params: GraphParams
     start: int
-    steps: tuple[TraceStep, ...]
+    remainders: tuple[int, ...]
     right_to_left: bool = False
 
     @property
-    def remainders(self) -> tuple[int, ...]:
-        return tuple(s.remainder for s in self.steps)
+    def digits(self) -> tuple[int, ...]:
+        return tuple(map(mod, self.remainders, repeat(self.params.base)))
 
     @property
-    def digits(self) -> tuple[int, ...]:
-        return tuple(s.digit for s in self.steps)
+    def steps(self) -> tuple[TraceStep, ...]:
+        return tuple(map(TraceStep, count(1), self.remainders, self.digits))
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.remainders)
+
+
+def _walk(k: int, mult: int, m: int, length: int) -> list[int]:
+    """The first `length` stops of k under x -> mult*x mod m, starting at k."""
+    r = k
+    return [k] + [r := r * mult % m for _ in range(length - 1)]
+
+
+def _cycle(k: int, params: GraphParams, *, mult: int, start: int, right_to_left: bool) -> PeriodTrace:
+    """The cycle of vertex k walked from `start` by `mult`, as a PeriodTrace."""
+    m = params.modulus
+    if not 0 <= k < m:
+        raise ValidationError(f"numerator {k} out of range [0, {m})")
+    rems = _walk(start, mult, m, cycle_length_of(params, k))
+    return PeriodTrace(params, k, tuple(rems), right_to_left)
 
 
 def period_digits(k: int, params: GraphParams) -> PeriodTrace:
     """Period of k/M as the rightmost digits along the cycle of k.
 
-    The i-th step holds remainder B^i * k mod M; its rightmost base-B digit
-    is the i-th period digit. The walk ends back at k.
+    The walk multiplies by B: the i-th remainder is B^i * k mod M, and its
+    rightmost base-B digit is the i-th period digit. The walk ends back at k.
     """
-    m = params.modulus
-    if not 0 <= k < m:
-        raise ValidationError(f"numerator {k} out of range [0, {m})")
-    base = params.base
-    steps = []
-    r = k
-    for i in range(1, cycle_length_of(params, k) + 1):
-        r = r * base % m
-        steps.append(TraceStep(i, r, r % base))
-    return PeriodTrace(params, k, tuple(steps))
+    return _cycle(k, params, mult=params.base, start=params.base * k % params.modulus, right_to_left=False)
 
 
 def period_digits_reversed(k: int, params: GraphParams) -> PeriodTrace:
     """Same cycle walked backwards (multiply by n), digits right to left.
 
-    The i-th step holds remainder n^(i-1) * k mod M starting at k itself;
-    reading the digit column bottom-up reproduces period_digits(k).
+    n is the inverse of B mod M, so the walk multiplies by n: the i-th
+    remainder is n^(i-1) * k mod M, starting at k itself. Reading the digit
+    column bottom-up reproduces period_digits(k).
     """
-    m = params.modulus
-    if not 0 <= k < m:
-        raise ValidationError(f"numerator {k} out of range [0, {m})")
-    base = params.base
-    steps = []
-    r = k
-    for i in range(1, cycle_length_of(params, k) + 1):
-        steps.append(TraceStep(i, r, r % base))
-        r = r * params.n % m
-    return PeriodTrace(params, k, tuple(steps), right_to_left=True)
+    return _cycle(k, params, mult=params.n, start=k, right_to_left=True)
 
 
 def reduce_coprime(k: int, m: int, base: int) -> tuple[int, int, int]:
@@ -173,9 +184,11 @@ def reduce_coprime(k: int, m: int, base: int) -> tuple[int, int, int]:
 def factor_out_base(k: int, m: int, base: int) -> ReductionTrace:
     """Strip the primes of the base from the denominator of k/m (lowest terms).
 
-    Finds the least shift e such that base^e clears every base-prime from m,
-    then splits base^e * k/m as preperiod_value + tail_numerator/tail_denominator
-    with 0 <= tail_numerator < tail_denominator and gcd(tail_denominator, base) = 1.
+    Divides m by gcd(m, base) until the two are coprime; that leaves the
+    tail denominator m', and the number of divisions is the least shift e
+    with (m / m') | base^e. Then splits base^e * k/m as
+    preperiod_value + tail_numerator/tail_denominator with
+    0 <= tail_numerator < tail_denominator = m'. Nothing is factored.
     """
     if base < 2:
         raise ValidationError(f"base must be >= 2, got {base}")
@@ -183,19 +196,12 @@ def factor_out_base(k: int, m: int, base: int) -> ReductionTrace:
         raise ValidationError(f"expected 1 <= k < m, got k={k}, m={m}")
     if math.gcd(k, m) != 1:
         raise ValidationError(f"{k}/{m} is not in lowest terms")
-    base_factors = factorize(base).factors
-    m_exponents = factorize(m).as_dict()
     shift = 0
     m_prime = m
-    for p, bp in base_factors:
-        ep = m_exponents.get(p, 0)
-        if ep:
-            m_prime //= p**ep
-            shift = max(shift, -(-ep // bp))
-    scaled = k
-    for p, bp in base_factors:
-        scaled *= p ** (shift * bp - m_exponents.get(p, 0))
-    pre_value, tail_num = divmod(scaled, m_prime)
+    while (g := math.gcd(m_prime, base)) > 1:
+        m_prime //= g
+        shift += 1
+    pre_value, tail_num = divmod(k * (base**shift // (m // m_prime)), m_prime)
     return ReductionTrace(
         shift=shift,
         integer_part=0,
@@ -222,18 +228,20 @@ def expand(f: Fraction, base: int) -> tuple[RadixExpansion, ReductionTrace]:
         trace = ReductionTrace(0, whole, 0, 0, 1)
         return RadixExpansion(base, integer_digits, empty, empty), trace
 
+    # factor_out_base leaves integer_part, multiplier and graph_n unset; the
+    # trace returned here is built once, with all of them
     red = factor_out_base(k, m, base)
-    red = replace(red, integer_part=whole)
+    parts = (red.shift, whole, red.preperiod_value, red.tail_numerator, red.tail_denominator)
     preperiod = to_digit_string(red.preperiod_value, base, red.shift) if red.shift else empty
     if red.tail_numerator == 0 or red.tail_denominator == 1:
-        return RadixExpansion(base, integer_digits, preperiod, empty), red
+        return RadixExpansion(base, integer_digits, preperiod, empty), ReductionTrace(*parts)
 
     c, n, scaled = reduce_coprime(red.tail_numerator, red.tail_denominator, base)
-    red = replace(red, multiplier=c, graph_n=n)
+    trace = ReductionTrace(*parts, multiplier=c, graph_n=n)
     if base * n - 1 > FACTORIZATION_CAP:
         raise CapacityError(f"period modulus {base * n - 1} exceeds cap {FACTORIZATION_CAP}")
     period = DigitString(base, period_digits(scaled, GraphParams(base, n)).digits)
-    return RadixExpansion(base, integer_digits, preperiod, period), red
+    return RadixExpansion(base, integer_digits, preperiod, period), trace
 
 
 def long_division_oracle(f: Fraction, base: int) -> RadixExpansion:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .digits import to_digit_string
+from .digits import digit_symbols, to_digit_string
 from .errors import ValidationError
 from .expansion import PeriodTrace, RadixExpansion
 from .graph import FunctionalGraph, census
@@ -47,30 +47,35 @@ def format_expansion(x: RadixExpansion, ascii_style: bool = False) -> str:
     return f"{body} (base {x.base})"
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(headers)]
-    lines = [" | ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append(" | ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+def _table(headers: list[str], columns: list[list[str]]) -> str:
+    """Right-aligned columns under their headers, joined by " | "."""
+    widths = [max(len(h), max(map(len, col), default=0)) for h, col in zip(headers, columns)]
+    fmt = " | ".join(f"%{w}s" for w in widths)
+    return "\n".join([fmt % tuple(headers), *map(fmt.__mod__, zip(*columns))]) + "\n"
 
 
 def census_table(graph_census: list, base: int) -> str:
     """Cycle census as an aligned ASCII table, one row per divisor of M."""
     headers = ["d", f"ord_d({base})", "phi(d)", f"phi(d)/ord_d({base})"]
-    rows = [[str(r.d), str(r.order), str(r.phi), str(r.cycle_count)] for r in graph_census]
-    return _table(headers, rows)
+    columns = [
+        [str(r.d) for r in graph_census],
+        [str(r.order) for r in graph_census],
+        [str(r.phi) for r in graph_census],
+        [str(r.cycle_count) for r in graph_census],
+    ]
+    return _table(headers, columns)
 
 
 def trace_table(trace: PeriodTrace) -> str:
     """Remainder walk as an aligned table; notes reading order when reversed."""
     headers = ["i", "remainder", "digit"]
-    base = trace.params.base
-    rows = [
-        [str(s.index), str(s.remainder), to_digit_string(s.digit, base).render()]
-        for s in trace.steps
+    rems = trace.remainders
+    columns = [
+        list(map(str, range(1, len(rems) + 1))),
+        list(map(str, rems)),
+        digit_symbols(trace.digits, trace.params.base),
     ]
-    out = _table(headers, rows)
+    out = _table(headers, columns)
     if trace.right_to_left:
         out += "(digits read right to left)\n"
     return out

@@ -145,6 +145,20 @@ def test_parse_error_exit_code(capsys):
     assert "error:" in err
 
 
+def test_overlong_integer_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "expand", "1/" + "7" * 4400)
+    assert code == cli.EXIT_PARSE
+    assert out == "" and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_expand_above_factorization_cap_terminates(capsys):
+    # 1/2^70: the denominator is above the factorization cap but is all base primes
+    code, out, err = run(capsys, "expand", f"1/{2**70}", "--base", "2")
+    assert code == 0 and err == ""
+    assert out == "0." + "0" * 69 + "1 (base 2)\n"
+
+
 def test_bad_base_list_exit_code(capsys):
     code, _, err = run(capsys, "sweep", "5", "--bases", "10,x")
     assert code == cli.EXIT_PARSE

@@ -51,8 +51,10 @@ def test_from_digit_string():
 
 
 def test_digit_string_validates_digits():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="digit 10 "):
         DigitString(10, (3, 10))
+    with pytest.raises(ValidationError, match="digit -1 "):
+        DigitString(10, (4, -1, 12))
     with pytest.raises(ValidationError):
         DigitString(1, (0,))
 

@@ -66,6 +66,19 @@ def test_period_digits_reversed_examples():
     assert period_digits_reversed(7, GraphParams(12, 3)).digits == (7, 9, 4, 2)
 
 
+def test_period_digits_reversed_fixed_point():
+    assert period_digits_reversed(0, GraphParams(10, 4)).remainders == (0,)
+
+
+def test_long_period_walks_match_oracle():
+    # 10069 = 10 * 1007 - 1 is prime and 10 has order 10068 mod it
+    p = GraphParams(10, 1007)
+    want = long_division_oracle(Fraction(3, p.modulus), 10).period.digits
+    assert len(want) == 10068
+    assert period_digits(3, p).digits == want
+    assert tuple(reversed(period_digits_reversed(3, p).digits)) == want
+
+
 @st.composite
 def params_and_vertex(draw, max_modulus=4000):
     base = draw(st.integers(2, 16))
@@ -161,6 +174,18 @@ def test_factor_out_base_examples():
     assert (red.shift, red.preperiod_value, red.tail_numerator, red.tail_denominator) == (2, 25, 0, 1)
     red = factor_out_base(3, 7, 10)
     assert (red.shift, red.preperiod_value, red.tail_numerator, red.tail_denominator) == (0, 0, 3, 7)
+
+
+def test_factor_out_base_does_not_factor_the_denominator():
+    # 2^70 is above the factorization cap, yet the expansion terminates
+    red = factor_out_base(1, 2**70, 2)
+    assert (red.shift, red.preperiod_value, red.tail_numerator, red.tail_denominator) == (70, 1, 0, 1)
+    red = factor_out_base(1, 10 * 2**62, 2)
+    assert (red.shift, red.preperiod_value, red.tail_numerator, red.tail_denominator) == (63, 0, 1, 5)
+    x, _ = expand(Fraction(1, 2**70), 2)
+    assert x.preperiod.digits == (0,) * 69 + (1,)
+    assert x.period.digits == ()
+    assert value_of(x) == Fraction(1, 2**70)
 
 
 def test_factor_out_base_validates():

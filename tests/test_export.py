@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from radixgraph.digits import to_digit_string
 from radixgraph.errors import ValidationError
 from radixgraph.expansion import Fraction, expand, period_digits, period_digits_reversed
 from radixgraph.export import (
@@ -58,6 +59,19 @@ def test_trace_table_renders_digits_in_base():
     # modulus 11 in base 12: vertex 10 is fixed and its digit renders as "a"
     text = trace_table(period_digits(10, GraphParams(12, 1)))
     assert text.splitlines()[1].split() == ["1", "|", "10", "|", "a"]
+
+
+def test_trace_table_large_base_digits_match_to_digit_string():
+    # modulus 59 * 60 - 1: digits past 36 render as bracketed decimals
+    p = GraphParams(60, 59)
+    for walk in (period_digits, period_digits_reversed):
+        trace = walk(1, p)
+        rows = [line.split(" | ") for line in trace_table(trace).splitlines()[1:]]
+        if trace.right_to_left:
+            rows.pop()
+        assert len(rows) == len(trace)
+        assert [r[2].lstrip() for r in rows] == [to_digit_string(d, 60).render() for d in trace.digits]
+        assert any(r[2].lstrip() == "[59]" for r in rows)
 
 
 def test_cycle_table():
