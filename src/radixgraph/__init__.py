@@ -23,7 +23,6 @@ from .expansion import (
     ReductionTrace,
     SweepMismatch,
     SweepResult,
-    TraceStep,
     expand,
     factor_out_base,
     long_division_oracle,
@@ -57,11 +56,9 @@ from .graph import (
 )
 from .numtheory import (
     FACTORIZATION_CAP,
-    PrimeFactorization,
     divisors,
     euler_phi,
     factorize,
-    gcd,
     mod_inverse,
     mult_order,
 )
@@ -81,13 +78,11 @@ __all__ = [
     "NotAUnitError",
     "ParseError",
     "PeriodTrace",
-    "PrimeFactorization",
     "RadixExpansion",
     "RadixGraphError",
     "ReductionTrace",
     "SweepMismatch",
     "SweepResult",
-    "TraceStep",
     "UndefinedInputError",
     "ValidationError",
     "ZeroDenominatorError",
@@ -104,7 +99,6 @@ __all__ = [
     "factorize",
     "format_expansion",
     "from_digit_string",
-    "gcd",
     "graph_to_dot",
     "graph_to_json",
     "iterate",

@@ -58,17 +58,15 @@ def cmd_expand(args: argparse.Namespace) -> int:
         if red.multiplier is not None:
             line += f" multiplier={red.multiplier} n={red.graph_n}"
         print(line)
-        if red.multiplier is not None:
-            params = GraphParams(args.base, red.graph_n)
-            start = red.multiplier * red.tail_numerator
-            print(f"period trace of {start}/{params.modulus}:")
-            print(trace_table(period_digits(start, params)), end="")
+        walk = red.period_trace
+        if walk is not None:
+            print(f"period trace of {walk.start}/{walk.params.modulus}:")
+            print(trace_table(walk), end="")
     return EXIT_OK
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    kwargs = {"cap": args.max_modulus} if args.max_modulus is not None else {}
-    rows = census(GraphParams(args.base, args.n), **kwargs)
+    rows = census(GraphParams(args.base, args.n))
     print(census_table(rows, args.base), end="")
     return EXIT_OK
 
@@ -77,7 +75,6 @@ def cmd_graph(args: argparse.Namespace) -> int:
     cap = args.max_modulus if args.max_modulus is not None else MATERIALIZATION_CAP
     graph = build_graph(GraphParams(args.base, args.n), cap=cap)
     options = ExportOptions(
-        format=args.format,
         label_base="base" if args.labels == "base" else "decimal",
         highlight=args.highlight,
     )
@@ -130,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="cycle census of the graph mod base*n - 1")
     p.add_argument("n", type=int)
     p.add_argument("--base", type=int, default=10)
-    p.add_argument("--max-modulus", type=int, default=None, help="override the factorization cap")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("graph", help="materialize the graph mod base*n - 1")

@@ -14,8 +14,8 @@ The pipeline behind expand():
 
 period_digits and period_digits_reversed are one remainder walk, _walk,
 with multiplier B (forward) or n (backward; n is the inverse of B mod M).
-The PeriodTrace they return stores only the remainders; its digits and
-steps are derived from them on access.
+The PeriodTrace they return stores only the remainders; its digits are
+derived from them on access.
 
 long_division_oracle computes the same expansion by schoolbook remainder
 tracking and shares no code with the pipeline; run_oracle_sweep compares the
@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import repeat
 from operator import mod
-from typing import NamedTuple
 
 from .digits import DigitString, to_digit_string, from_digit_string
 from .errors import CapacityError, NotAUnitError, ValidationError, ZeroDenominatorError
@@ -69,7 +68,7 @@ class ReductionTrace:
     is coprime to the base. For a nonterminating expansion, multiplier is
     the c with multiplier * tail_denominator = base * graph_n - 1, and the
     period is read from the cycle of multiplier * tail_numerator in the
-    graph mod that modulus.
+    graph mod that modulus; period_trace is that walk.
     """
 
     shift: int
@@ -79,6 +78,7 @@ class ReductionTrace:
     tail_denominator: int
     multiplier: int | None = None
     graph_n: int | None = None
+    period_trace: PeriodTrace | None = None
 
 
 @dataclass(frozen=True)
@@ -96,20 +96,13 @@ class RadixExpansion:
                 raise ValidationError(f"component base {part.base} != expansion base {self.base}")
 
 
-class TraceStep(NamedTuple):
-    index: int
-    remainder: int
-    digit: int
-
-
 @dataclass(frozen=True)
 class PeriodTrace:
-    """Remainder walk around one cycle; digits and steps are views of it.
+    """Remainder walk around one cycle; digits are a view of it.
 
     remainders holds the stops in walk order. The digit read at each stop is
-    its rightmost base-B digit, remainder mod B, and steps pairs each stop
-    with its 1-based index and digit. Both are computed on access, so a walk
-    stores one integer per stop.
+    its rightmost base-B digit, remainder mod B, computed on access, so a
+    walk stores one integer per stop.
     """
 
     params: GraphParams
@@ -120,10 +113,6 @@ class PeriodTrace:
     @property
     def digits(self) -> tuple[int, ...]:
         return tuple(map(mod, self.remainders, repeat(self.params.base)))
-
-    @property
-    def steps(self) -> tuple[TraceStep, ...]:
-        return tuple(map(TraceStep, count(1), self.remainders, self.digits))
 
     def __len__(self) -> int:
         return len(self.remainders)
@@ -136,11 +125,11 @@ def _walk(k: int, mult: int, m: int, length: int) -> list[int]:
 
 
 def _cycle(k: int, params: GraphParams, *, mult: int, start: int, right_to_left: bool) -> PeriodTrace:
-    """The cycle of vertex k walked from `start` by `mult`, as a PeriodTrace."""
-    m = params.modulus
-    if not 0 <= k < m:
-        raise ValidationError(f"numerator {k} out of range [0, {m})")
-    rems = _walk(start, mult, m, cycle_length_of(params, k))
+    """The cycle of vertex k walked from `start` by `mult`, as a PeriodTrace.
+
+    cycle_length_of checks that k is a vertex before anything is walked.
+    """
+    rems = _walk(start, mult, params.modulus, cycle_length_of(params, k))
     return PeriodTrace(params, k, tuple(rems), right_to_left)
 
 
@@ -228,7 +217,7 @@ def expand(f: Fraction, base: int) -> tuple[RadixExpansion, ReductionTrace]:
         trace = ReductionTrace(0, whole, 0, 0, 1)
         return RadixExpansion(base, integer_digits, empty, empty), trace
 
-    # factor_out_base leaves integer_part, multiplier and graph_n unset; the
+    # factor_out_base leaves integer_part and the period fields unset; the
     # trace returned here is built once, with all of them
     red = factor_out_base(k, m, base)
     parts = (red.shift, whole, red.preperiod_value, red.tail_numerator, red.tail_denominator)
@@ -237,11 +226,11 @@ def expand(f: Fraction, base: int) -> tuple[RadixExpansion, ReductionTrace]:
         return RadixExpansion(base, integer_digits, preperiod, empty), ReductionTrace(*parts)
 
     c, n, scaled = reduce_coprime(red.tail_numerator, red.tail_denominator, base)
-    trace = ReductionTrace(*parts, multiplier=c, graph_n=n)
     if base * n - 1 > FACTORIZATION_CAP:
         raise CapacityError(f"period modulus {base * n - 1} exceeds cap {FACTORIZATION_CAP}")
-    period = DigitString(base, period_digits(scaled, GraphParams(base, n)).digits)
-    return RadixExpansion(base, integer_digits, preperiod, period), trace
+    walk = period_digits(scaled, GraphParams(base, n))
+    trace = ReductionTrace(*parts, multiplier=c, graph_n=n, period_trace=walk)
+    return RadixExpansion(base, integer_digits, preperiod, DigitString(base, walk.digits)), trace
 
 
 def long_division_oracle(f: Fraction, base: int) -> RadixExpansion:

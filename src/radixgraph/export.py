@@ -18,12 +18,10 @@ from .graph import FunctionalGraph, census
 class ExportOptions:
     """Rendering knobs for graph exports.
 
-    format: "dot", "json" or "table"; label_base: "decimal" keeps vertex
-    labels as plain integers, "base" renders them as base-B digit strings;
-    highlight singles out one vertex.
+    label_base: "decimal" keeps vertex labels as plain integers, "base"
+    renders them as base-B digit strings; highlight singles out one vertex.
     """
 
-    format: str = "dot"
     label_base: str = "decimal"
     highlight: int | None = None
 
@@ -83,21 +81,24 @@ def trace_table(trace: PeriodTrace) -> str:
 
 def cycle_table(graph: FunctionalGraph) -> str:
     """One row per cycle: index, length, vertices in successor order."""
-    headers = ["cycle", "length", "vertices"]
-    rows = []
-    for i, cyc in enumerate(graph.cycles):
-        rows.append([str(i), str(len(cyc)), " ".join(str(v) for v in cyc)])
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers[:2])]
-    lines = [
-        " | ".join([headers[0].rjust(widths[0]), headers[1].rjust(widths[1]), headers[2]])
-    ]
-    for row in rows:
-        lines.append(" | ".join([row[0].rjust(widths[0]), row[1].rjust(widths[1]), row[2]]))
-    return "\n".join(lines) + "\n"
+    cycles = graph.cycles
+    # _table right-aligns; the vertex lists are left-aligned, so they are
+    # appended to its lines instead of passed as a third column
+    counts = _table(["cycle", "length"], [list(map(str, range(len(cycles)))), [str(len(c)) for c in cycles]])
+    vertices = ["vertices", *(" ".join(map(str, c)) for c in cycles)]
+    return "".join(f"{line} | {v}\n" for line, v in zip(counts.splitlines(), vertices))
 
 
 def _vertex_label(v: int, base: int) -> str:
     return to_digit_string(v, base).render()
+
+
+def _checked_highlight(options: ExportOptions, m: int) -> int | None:
+    """options.highlight, refused unless it is a vertex of the graph mod m."""
+    v = options.highlight
+    if v is not None and not 0 <= v < m:
+        raise ValidationError(f"highlight vertex {v} out of range [0, {m})")
+    return v
 
 
 def graph_to_dot(graph: FunctionalGraph, options: ExportOptions = ExportOptions()) -> str:
@@ -109,14 +110,13 @@ def graph_to_dot(graph: FunctionalGraph, options: ExportOptions = ExportOptions(
     """
     base = graph.params.base
     m = graph.params.modulus
+    highlight = _checked_highlight(options, m)
     lines = [f"digraph multiply_by_{base} {{"]
     if options.label_base == "base":
         for v in range(m):
             lines.append(f'  {v} [label="{_vertex_label(v, base)}"];')
-    if options.highlight is not None:
-        if not 0 <= options.highlight < m:
-            raise ValidationError(f"highlight vertex {options.highlight} out of range [0, {m})")
-        lines.append(f"  {options.highlight} [style=bold];")
+    if highlight is not None:
+        lines.append(f"  {highlight} [style=bold];")
     for cyc in graph.cycles:
         for i, v in enumerate(cyc):
             lines.append(f"  {v} -> {cyc[(i + 1) % len(cyc)]};")
@@ -127,6 +127,7 @@ def graph_to_dot(graph: FunctionalGraph, options: ExportOptions = ExportOptions(
 def graph_to_json(graph: FunctionalGraph, options: ExportOptions = ExportOptions()) -> str:
     """Versioned JSON document with params, cycles and the analytic census."""
     params = graph.params
+    highlight = _checked_highlight(options, params.modulus)
     payload: dict = {
         "schema": 1,
         "params": {"base": params.base, "n": params.n},
@@ -145,10 +146,6 @@ def graph_to_json(graph: FunctionalGraph, options: ExportOptions = ExportOptions
     }
     if options.label_base == "base":
         payload["labels"] = {str(v): _vertex_label(v, params.base) for v in range(params.modulus)}
-    if options.highlight is not None:
-        if not 0 <= options.highlight < params.modulus:
-            raise ValidationError(
-                f"highlight vertex {options.highlight} out of range [0, {params.modulus})"
-            )
-        payload["highlight"] = options.highlight
+    if highlight is not None:
+        payload["highlight"] = highlight
     return json.dumps(payload, indent=2) + "\n"

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapacityError, ValidationError
-from .numtheory import FACTORIZATION_CAP, divisors, euler_phi, mult_order
+from .numtheory import divisors, euler_phi, mult_order
 
 # build_graph refuses vertex sets larger than this by default.
 MATERIALIZATION_CAP = 10**6
@@ -117,7 +117,7 @@ def cycle_length_of(params: GraphParams, x: int) -> int:
     return mult_order(params.base, d)
 
 
-def census(params: GraphParams, *, cap: int = FACTORIZATION_CAP) -> list[CensusRow]:
+def census(params: GraphParams) -> list[CensusRow]:
     """Cycle census by divisor of M, ascending in d.
 
     Row d says: the phi(d) vertices x with M / gcd(M, x) = d split into
@@ -126,7 +126,7 @@ def census(params: GraphParams, *, cap: int = FACTORIZATION_CAP) -> list[CensusR
     modulus must stay under the factorization cap.
     """
     rows = []
-    for d in divisors(params.modulus, cap=cap):
+    for d in divisors(params.modulus):
         order = 1 if d == 1 else mult_order(params.base, d)
         phi = euler_phi(d)
         rows.append(CensusRow(d, order, phi, phi // order, order))

@@ -1,52 +1,21 @@
-"""Exact integer arithmetic: gcd, factorization, divisors, totient, orders, inverses.
+"""Exact integer arithmetic: factorization, divisors, totient, orders, inverses.
 
 All functions are pure. Factorization is plain trial division guarded by a
 magnitude cap, which keeps worst-case runtime predictable at the scales this
-package targets; everything downstream (divisors, totient, orders) reuses the
-cached factorization.
+package targets. factorize is the one place that checks the cap; everything
+downstream that needs a factorization (divisors, totient, orders by phi) goes
+through it and reuses the cached factorization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapacityError, NotAUnitError, UndefinedInputError, ValidationError
 
 # Above this, trial division is refused rather than attempted.
 FACTORIZATION_CAP = 2**62
-
-
-@dataclass(frozen=True)
-class PrimeFactorization:
-    """Factorization as (prime, exponent) pairs, ascending by prime; empty for 1."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers, gcd(a, 0) = a."""
-    if a < 0 or b < 0:
-        raise ValidationError(f"gcd expects nonnegative arguments, got ({a}, {b})")
-    if a == 0 and b == 0:
-        raise UndefinedInputError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
 
 
 @lru_cache(maxsize=None)
@@ -75,36 +44,30 @@ def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
-def factorize(n: int, *, cap: int = FACTORIZATION_CAP) -> PrimeFactorization:
-    """Prime factorization of a positive integer by trial division."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of a positive integer by trial division.
+
+    Returns (prime, exponent) pairs, ascending by prime; empty for 1.
+    """
     if n < 1:
         raise UndefinedInputError(f"factorize expects a positive integer, got {n}")
-    if n > cap:
-        raise CapacityError(f"refusing to factor {n} > cap {cap}")
-    return PrimeFactorization(_trial_division(n))
+    if n > FACTORIZATION_CAP:
+        raise CapacityError(f"refusing to factor {n} > cap {FACTORIZATION_CAP}")
+    return _trial_division(n)
 
 
-@lru_cache(maxsize=None)
-def _divisors(n: int) -> tuple[int, ...]:
-    divs = [1]
-    for p, e in _trial_division(n):
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return tuple(sorted(divs))
-
-
-def divisors(n: int, *, cap: int = FACTORIZATION_CAP) -> list[int]:
+def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
-    if n < 1:
-        raise UndefinedInputError(f"divisors expects a positive integer, got {n}")
-    if n > cap:
-        raise CapacityError(f"refusing to factor {n} > cap {cap}")
-    return list(_divisors(n))
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
 
 
-def euler_phi(n: int, *, cap: int = FACTORIZATION_CAP) -> int:
+def euler_phi(n: int) -> int:
     """Euler's totient: count of integers in [1, n] coprime to n."""
     phi = 1
-    for p, e in factorize(n, cap=cap).factors:
+    for p, e in factorize(n):
         phi *= p ** (e - 1) * (p - 1)
     return phi
 
@@ -123,13 +86,13 @@ def _order_direct(b: int, d: int) -> int:
 def _order_by_phi(b: int, d: int) -> int:
     # start from phi(d) and strip every prime that keeps b^t = 1
     t = euler_phi(d)
-    for p, _ in factorize(t).factors:
+    for p, _ in factorize(t):
         while t % p == 0 and pow(b, t // p, d) == 1:
             t //= p
     return t
 
 
-def mult_order(b: int, d: int, *, cap: int = FACTORIZATION_CAP) -> int:
+def mult_order(b: int, d: int) -> int:
     """Least t >= 1 with b^t = 1 (mod d); requires gcd(b, d) = 1."""
     if b < 2:
         raise ValidationError(f"mult_order expects base >= 2, got {b}")
@@ -139,8 +102,6 @@ def mult_order(b: int, d: int, *, cap: int = FACTORIZATION_CAP) -> int:
         return 1
     if math.gcd(b, d) != 1:
         raise NotAUnitError(f"{b} is not a unit mod {d}")
-    if d > cap:
-        raise CapacityError(f"refusing modulus {d} > cap {cap}")
     if d < 1000:
         return _order_direct(b, d)
     return _order_by_phi(b, d)

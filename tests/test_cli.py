@@ -1,9 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from radixgraph import cli
+from radixgraph import cli, expansion
 from radixgraph.expansion import Fraction, long_division_oracle
+
+ROOT = Path(__file__).resolve().parents[1]
+# M = 10 * 461168601842738853 - 1 is just above the factorization cap
+ABOVE_CAP_N = "461168601842738853"
 
 
 def run(capsys, *argv):
@@ -40,6 +49,22 @@ def test_expand_trace(capsys):
     assert lines[-1].split() == ["4", "|", "7", "|", "7"]
 
 
+def test_expand_trace_walks_the_period_once(capsys, monkeypatch):
+    walks = []
+    real_walk = expansion._walk
+
+    def counting_walk(*args):
+        walks.append(args)
+        return real_walk(*args)
+
+    monkeypatch.setattr(expansion, "_walk", counting_walk)
+    code, out, _ = run(capsys, "expand", "1/10069", "--trace")
+    assert code == 0
+    assert len(walks) == 1
+    assert out.splitlines()[2] == "period trace of 1/10069:"
+    assert len(out.splitlines()) == 3 + 1 + 10068
+
+
 def test_expand_trace_terminating(capsys):
     code, out, _ = run(capsys, "expand", "1/4", "--trace")
     assert code == 0
@@ -58,10 +83,20 @@ def test_census_command(capsys):
     assert lines[-1].split() == ["39", "|", "6", "|", "24", "|", "4"]
 
 
-def test_census_cap_override(capsys):
-    code, _, err = run(capsys, "census", "200", "--base", "10", "--max-modulus", "100")
+def _refused_by_factorize(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     assert code == cli.EXIT_CAPACITY
-    assert "error:" in err
+    assert out == "" and err.startswith("error: refusing to factor 4611686018427388529 > cap")
+
+
+def test_census_cap_override(capsys):
+    _refused_by_factorize(capsys, "census", ABOVE_CAP_N)
+
+
+def test_trace_above_factorization_cap(capsys):
+    _refused_by_factorize(capsys, "trace", "1", ABOVE_CAP_N)
 
 
 def test_graph_json_all_fixed_points(capsys):
@@ -109,7 +144,14 @@ def test_graph_json(capsys):
 def test_graph_table_with_labels(capsys):
     code, out, _ = run(capsys, "graph", "3", "--base", "12", "--format", "table")
     assert code == 0
-    assert "7 14 28 21" in out
+    assert out == (
+        "cycle | length | vertices\n"
+        "    0 |      1 | 0\n"
+        "    1 |     12 | 1 12 4 13 16 17 29 33 11 27 9 3\n"
+        "    2 |     12 | 2 24 8 26 32 34 23 31 22 19 18 6\n"
+        "    3 |      6 | 5 25 20 30 10 15\n"
+        "    4 |      4 | 7 14 28 21\n"
+    )
 
 
 def test_graph_deterministic(capsys):
@@ -190,3 +232,13 @@ def test_argparse_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_demo_script_runs():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "demo_expansions.py")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "0.4(2497)_12" in done.stdout

@@ -41,7 +41,7 @@ def test_period_digits_unit_cycle():
     assert t.remainders == (10, 22, 25, 16, 4, 1)
     assert t.digits == (0, 2, 5, 6, 4, 1)
     assert t.start == 1 and not t.right_to_left
-    assert [s.index for s in t.steps] == [1, 2, 3, 4, 5, 6]
+    assert len(t) == 6
 
 
 def test_period_digits_other_starts():
@@ -117,9 +117,9 @@ def test_trace_invariants(pv):
     p, x = pv
     t = period_digits(x, p)
     assert len(set(t.remainders)) == len(t.remainders)
-    for s in t.steps:
-        assert s.remainder == iterate(p, x, s.index)
-        assert s.digit == s.remainder % p.base
+    for i, r in enumerate(t.remainders, 1):
+        assert r == iterate(p, x, i)
+    assert t.digits == tuple(r % p.base for r in t.remainders)
 
 
 @given(params_and_vertex())
@@ -241,6 +241,7 @@ def test_expand_reduction_trace_fields():
     assert (red.tail_numerator, red.tail_denominator) == (1, 5)
     assert (red.multiplier, red.graph_n) == (7, 3)
     assert red.multiplier * red.tail_denominator == 12 * red.graph_n - 1
+    assert red.period_trace == period_digits(7, GraphParams(12, 3))
 
 
 def test_expand_terminating():
@@ -250,7 +251,7 @@ def test_expand_terminating():
     assert _exp(3, 8, 10).preperiod.digits == (3, 7, 5)
     assert _exp(1, 2, 2).preperiod.digits == (1,)
     _, red = expand(Fraction(1, 4), 10)
-    assert red.multiplier is None and red.graph_n is None
+    assert red.multiplier is None and red.graph_n is None and red.period_trace is None
 
 
 def test_expand_integer_inputs():

@@ -75,12 +75,18 @@ def test_trace_table_large_base_digits_match_to_digit_string():
 
 
 def test_cycle_table():
-    g = build_graph(GraphParams(10, 4))
-    text = cycle_table(g)
-    lines = text.splitlines()
-    assert lines[0].split() == ["cycle", "|", "length", "|", "vertices"]
-    assert lines[1].split()[-1] == "0"
-    assert "1 10 22 25 16 4" in text
+    assert cycle_table(build_graph(GraphParams(10, 4))) == (
+        "cycle | length | vertices\n"
+        "    0 |      1 | 0\n"
+        "    1 |      6 | 1 10 22 25 16 4\n"
+        "    2 |      6 | 2 20 5 11 32 8\n"
+        "    3 |      6 | 3 30 27 36 9 12\n"
+        "    4 |      6 | 6 21 15 33 18 24\n"
+        "    5 |      6 | 7 31 37 19 34 28\n"
+        "    6 |      1 | 13\n"
+        "    7 |      6 | 14 23 35 38 29 17\n"
+        "    8 |      1 | 26\n"
+    )
 
 
 def test_dot_shape():
