@@ -72,8 +72,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    cap = args.max_modulus if args.max_modulus is not None else MATERIALIZATION_CAP
-    graph = build_graph(GraphParams(args.base, args.n), cap=cap)
+    graph = build_graph(GraphParams(args.base, args.n), cap=args.max_modulus)
     options = ExportOptions(
         label_base="base" if args.labels == "base" else "decimal",
         highlight=args.highlight,
@@ -135,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("dot", "json", "table"), default="dot")
     p.add_argument("--labels", choices=("dec", "base"), default="dec")
     p.add_argument("--highlight", type=int, default=None, help="vertex to mark in the output")
-    p.add_argument("--max-modulus", type=int, default=None, help="override the vertex cap")
+    p.add_argument("--max-modulus", type=int, default=MATERIALIZATION_CAP, help="vertex cap (default %(default)s)")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("trace", help="remainder walk of vertex K in the graph mod base*n - 1")

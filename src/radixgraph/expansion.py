@@ -15,7 +15,9 @@ The pipeline behind expand():
 period_digits and period_digits_reversed are one remainder walk, _walk,
 with multiplier B (forward) or n (backward; n is the inverse of B mod M).
 The PeriodTrace they return stores only the remainders; its digits are
-derived from them on access.
+derived from them on access. _cycle sizes every walk with cycle_length_of
+before it starts and refuses one longer than PERIOD_CAP digits, so this one
+check bounds period_digits, period_digits_reversed and expand alike.
 
 long_division_oracle computes the same expansion by schoolbook remainder
 tracking and shares no code with the pipeline; run_oracle_sweep compares the
@@ -32,7 +34,12 @@ from operator import mod
 from .digits import DigitString, to_digit_string, from_digit_string
 from .errors import CapacityError, NotAUnitError, ValidationError, ZeroDenominatorError
 from .graph import GraphParams, cycle_length_of
-from .numtheory import FACTORIZATION_CAP, mod_inverse
+from .numtheory import mod_inverse
+
+# _cycle refuses to walk a period longer than this many digits. At 10^6
+# digits, expand takes about 0.3 s and 70 MB, trace with its table about
+# 2 s and 300 MB (2-vCPU x86 VM, Python 3.11).
+PERIOD_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -127,9 +134,15 @@ def _walk(k: int, mult: int, m: int, length: int) -> list[int]:
 def _cycle(k: int, params: GraphParams, *, mult: int, start: int, right_to_left: bool) -> PeriodTrace:
     """The cycle of vertex k walked from `start` by `mult`, as a PeriodTrace.
 
-    cycle_length_of checks that k is a vertex before anything is walked.
+    cycle_length_of checks that k is a vertex, and the length it returns is
+    checked against PERIOD_CAP, before anything is walked.
     """
-    rems = _walk(start, mult, params.modulus, cycle_length_of(params, k))
+    length = cycle_length_of(params, k)
+    if length > PERIOD_CAP:
+        raise CapacityError(
+            f"refusing to walk the period of {k}/{params.modulus}: {length} digits > period cap {PERIOD_CAP}"
+        )
+    rems = _walk(start, mult, params.modulus, length)
     return PeriodTrace(params, k, tuple(rems), right_to_left)
 
 
@@ -226,8 +239,6 @@ def expand(f: Fraction, base: int) -> tuple[RadixExpansion, ReductionTrace]:
         return RadixExpansion(base, integer_digits, preperiod, empty), ReductionTrace(*parts)
 
     c, n, scaled = reduce_coprime(red.tail_numerator, red.tail_denominator, base)
-    if base * n - 1 > FACTORIZATION_CAP:
-        raise CapacityError(f"period modulus {base * n - 1} exceeds cap {FACTORIZATION_CAP}")
     walk = period_digits(scaled, GraphParams(base, n))
     trace = ReductionTrace(*parts, multiplier=c, graph_n=n, period_trace=walk)
     return RadixExpansion(base, integer_digits, preperiod, DigitString(base, walk.digits)), trace

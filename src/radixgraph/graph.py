@@ -93,17 +93,6 @@ def reverse_step(params: GraphParams, x: int) -> int:
     return params.n * x % params.modulus
 
 
-def cycle_of(params: GraphParams, x: int) -> list[int]:
-    """The cycle through x, listed from x in successor order."""
-    _check_vertex(params, x)
-    out = [x]
-    y = step(params, x)
-    while y != x:
-        out.append(y)
-        y = step(params, y)
-    return out
-
-
 def cycle_length_of(params: GraphParams, x: int) -> int:
     """Cycle length through x without walking the cycle.
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radixgraph import cli, expansion
 from radixgraph.expansion import Fraction, long_division_oracle
+from radixgraph.export import format_expansion
 
 ROOT = Path(__file__).resolve().parents[1]
 # M = 10 * 461168601842738853 - 1 is just above the factorization cap
@@ -97,6 +101,34 @@ def test_census_cap_override(capsys):
 
 def test_trace_above_factorization_cap(capsys):
     _refused_by_factorize(capsys, "trace", "1", ABOVE_CAP_N)
+
+
+@pytest.mark.parametrize(
+    "argv,digits",
+    [
+        (("expand", "1/2000113"), 2000112),
+        (("expand", "1/1000000007"), 1000000006),
+        (("expand", "1/1000000007", "--trace"), 1000000006),
+        (("trace", "1", "600034"), 2000112),
+        (("trace", "1", "600034", "--reverse"), 2000112),
+    ],
+)
+def test_period_above_cap_is_refused(capsys, argv, digits):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_CAPACITY
+    assert out == "" and err.startswith("error: refusing to walk the period")
+    assert f"{digits} digits > period cap {expansion.PERIOD_CAP}" in err
+
+
+def test_expand_period_modulus_above_factorization_cap(capsys):
+    # M = 9 * (10^18 + 1) is above 2^62, but only m' = 10^18 + 1 is factored
+    code, out, err = run(capsys, "expand", "1/1000000000000000001")
+    assert code == 0 and err == ""
+    want = long_division_oracle(Fraction(1, 10**18 + 1), 10)
+    assert len(want.period) == 36
+    assert out == format_expansion(want) + "\n"
 
 
 def test_graph_json_all_fixed_points(capsys):
@@ -242,3 +274,65 @@ def test_demo_script_runs():
     )
     assert done.returncode == 0, done.stderr
     assert "0.4(2497)_12" in done.stdout
+
+
+# Sizes at a cap are run in the default base 10 only. In another base the
+# same number can mean a period just under the period cap (seconds and
+# hundreds of MB with --trace) or a modulus just under 2^62 (minutes of
+# trial division).
+_AT_A_CAP = ["1/2000113", "1/1000000007", "1/1000000000000000001", ABOVE_CAP_N, "600034"]
+_fractions = st.one_of(
+    st.builds("{}/{}".format, st.integers(0, 10**6), st.integers(0, 3000)),
+    st.sampled_from(_AT_A_CAP[:3] + ["1/0", "x/3", "-1/3", "1/3/"]),
+    st.text("0123456789/-x", max_size=8),
+)
+
+
+def _num(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+@st.composite
+def _argv(draw):
+    """argv for one subcommand, with values inside and outside its domain."""
+
+    def base(arg):
+        return [] if arg in _AT_A_CAP else ["--base", draw(_num(-3, 60))]
+
+    cmd = draw(st.sampled_from(["expand", "census", "graph", "trace", "sweep", "garbage"]))
+    if cmd == "expand":
+        f = draw(_fractions)
+        return ["expand", f, *base(f), *draw(st.lists(st.sampled_from(["--trace", "--ascii"]), unique=True))]
+    if cmd == "census":
+        n = draw(st.one_of(_num(-2, 10**5), st.just(ABOVE_CAP_N)))
+        return ["census", n, *base(n)]
+    if cmd == "graph":
+        options = ["--format=json", "--format=table", "--format=png", "--labels=base"]
+        flags = draw(st.lists(st.sampled_from(options), max_size=2))
+        flags += draw(st.lists(st.builds("--highlight={}".format, st.integers(-2, 5000)), max_size=1))
+        flags += draw(st.lists(st.builds("--max-modulus={}".format, st.integers(-1, 5000)), max_size=1))
+        return ["graph", draw(_num(-2, 300)), "--base", draw(_num(-2, 40)), *flags]
+    if cmd == "trace":
+        n = draw(st.one_of(_num(-2, 2000), st.just("600034")))
+        return ["trace", draw(_num(-2, 10**4)), n, *base(n), *draw(st.lists(st.just("--reverse"), max_size=1))]
+    if cmd == "sweep":
+        return ["sweep", draw(_num(-1, 6)), "--bases", draw(st.text("0123456789,x-", min_size=1, max_size=6))]
+    words = ["expand", "census", "graph", "trace", "sweep", "--base", "7", "1/7", "-1", "x"]
+    return draw(st.lists(st.sampled_from(words)))
+
+
+@given(_argv())
+@settings(deadline=None, max_examples=300)
+def test_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: usage on stderr, exit 2
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code in (2, 3, 4):
+        assert "error:" in err.getvalue(), argv
+    if code == 0:
+        assert err.getvalue() == "", argv

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radixgraph.digits import DigitString
-from radixgraph.errors import NotAUnitError, ValidationError, ZeroDenominatorError
+from radixgraph.errors import CapacityError, NotAUnitError, ValidationError, ZeroDenominatorError
 from radixgraph.expansion import (
+    PERIOD_CAP,
     Fraction,
     RadixExpansion,
     expand,
@@ -17,7 +18,7 @@ from radixgraph.expansion import (
     run_oracle_sweep,
     value_of,
 )
-from radixgraph.graph import GraphParams, step
+from radixgraph.graph import GraphParams, cycle_length_of, step
 from radixgraph.numtheory import mult_order
 
 
@@ -47,8 +48,28 @@ def test_period_digits_unit_cycle():
 def test_period_digits_other_starts():
     assert period_digits(25, GraphParams(10, 4)).digits == (6, 4, 1, 0, 2, 5)
     assert period_digits(7, GraphParams(12, 3)).digits == (2, 4, 9, 7)
+    assert period_digits(7, GraphParams(12, 3)).remainders == (14, 28, 21, 7)
     assert period_digits(0, GraphParams(10, 4)).digits == (0,)
+    assert period_digits(0, GraphParams(10, 4)).remainders == (0,)
     assert period_digits(13, GraphParams(10, 4)).digits == (3,)
+    assert period_digits(13, GraphParams(10, 4)).remainders == (13,)
+
+
+def test_period_digits_refuse_a_period_above_the_cap():
+    # 6000339 = 3 * 2000113 and the cycle of 3 is the period of 1/2000113
+    p = GraphParams(10, 600034)
+    assert cycle_length_of(p, 3) == 2000112 > PERIOD_CAP
+    for walk in (period_digits, period_digits_reversed):
+        with pytest.raises(CapacityError, match="2000112 digits > period cap 1000000"):
+            walk(3, p)
+
+
+def test_expand_just_under_the_period_cap_matches_oracle():
+    f = Fraction(1, 999983)
+    got, red = expand(f, 10)
+    assert len(got.period) == 999982 <= PERIOD_CAP
+    assert got == long_division_oracle(f, 10)
+    assert len(red.period_trace) == 999982
 
 
 def test_period_digits_validates():

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radixgraph.errors import CapacityError, ValidationError
+from radixgraph.expansion import period_digits
 from radixgraph.graph import (
     GraphParams,
     build_graph,
     census,
     cycle_length_of,
-    cycle_of,
     iterate,
     reverse_step,
     step,
@@ -67,13 +67,6 @@ def test_reverse_step_examples():
     q = GraphParams(12, 3)
     assert reverse_step(q, 7) == 21
     assert step(q, 21) == 7
-
-
-def test_cycle_of_examples():
-    assert cycle_of(GraphParams(10, 4), 1) == [1, 10, 22, 25, 16, 4]
-    assert cycle_of(GraphParams(10, 4), 0) == [0]
-    assert cycle_of(GraphParams(12, 3), 7) == [7, 14, 28, 21]
-    assert cycle_of(GraphParams(10, 4), 13) == [13]
 
 
 @pytest.mark.parametrize(
@@ -163,11 +156,13 @@ def test_reverse_step_inverts_step(pv):
 
 @given(params_and_vertex())
 def test_cycle_contains_x_and_has_predicted_length(pv):
+    # cycle_length_of sizes the walk; stops that follow step, are distinct
+    # and end at x pin that size to the true cycle length
     p, x = pv
-    cyc = cycle_of(p, x)
-    assert cyc[0] == x
-    assert len(cyc) == cycle_length_of(p, x)
-    assert len(set(cyc)) == len(cyc)
+    rems = period_digits(x, p).remainders
+    assert rems[-1] == x
+    assert len(set(rems)) == len(rems)
+    assert all(step(p, a) == b for a, b in zip((x,) + rems, rems))
 
 
 @given(st.integers(2, 16), st.integers(1, 150))
