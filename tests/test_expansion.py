@@ -48,11 +48,8 @@ def test_period_digits_unit_cycle():
 def test_period_digits_other_starts():
     assert period_digits(25, GraphParams(10, 4)).digits == (6, 4, 1, 0, 2, 5)
     assert period_digits(7, GraphParams(12, 3)).digits == (2, 4, 9, 7)
-    assert period_digits(7, GraphParams(12, 3)).remainders == (14, 28, 21, 7)
     assert period_digits(0, GraphParams(10, 4)).digits == (0,)
-    assert period_digits(0, GraphParams(10, 4)).remainders == (0,)
     assert period_digits(13, GraphParams(10, 4)).digits == (3,)
-    assert period_digits(13, GraphParams(10, 4)).remainders == (13,)
 
 
 def test_period_digits_refuse_a_period_above_the_cap():

@@ -69,6 +69,19 @@ def test_reverse_step_examples():
     assert step(q, 21) == 7
 
 
+def test_cycle_of_examples():
+    # the cycle through x: x, then the stops of its period walk up to x
+    def cycle(p, x):
+        rems = period_digits(x, p).remainders
+        assert rems[-1] == x
+        return [x, *rems[:-1]]
+
+    assert cycle(GraphParams(10, 4), 1) == [1, 10, 22, 25, 16, 4]
+    assert cycle(GraphParams(10, 4), 0) == [0]
+    assert cycle(GraphParams(12, 3), 7) == [7, 14, 28, 21]
+    assert cycle(GraphParams(10, 4), 13) == [13]
+
+
 @pytest.mark.parametrize(
     "base,n,x,want",
     [(10, 4, 13, 1), (10, 4, 0, 1), (10, 4, 1, 6), (10, 12, 17, 6), (10, 12, 7, 16), (12, 3, 7, 4)],
