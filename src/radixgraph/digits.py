@@ -45,10 +45,20 @@ class DigitString:
         return self.render()
 
 
+def _valid_digit_string(base: int, digits: tuple[int, ...]) -> DigitString:
+    """DigitString without __post_init__'s check, for digits the caller
+    computed as remainders mod base (so in range by construction)."""
+    s = object.__new__(DigitString)
+    object.__setattr__(s, "base", base)
+    object.__setattr__(s, "digits", digits)
+    return s
+
+
 def digit_symbols(digits: tuple[int, ...], base: int) -> list[str]:
-    """Each digit in [0, base) rendered alone, as a one-digit DigitString renders it."""
+    """Each digit in [0, base) rendered alone, as a one-digit DigitString
+    renders it. The digits are not checked."""
     if base <= 36:
-        return list(DigitString(base, digits).render())
+        return list(bytes(digits).translate(_ALPHABET_TABLE).decode("ascii"))
     return [f"[{d}]" for d in digits]
 
 

@@ -15,9 +15,10 @@ The pipeline behind expand():
 period_digits and period_digits_reversed are one remainder walk, _walk,
 with multiplier B (forward) or n (backward; n is the inverse of B mod M).
 The PeriodTrace they return stores only the remainders; its digits are
-derived from them on access. _cycle sizes every walk with cycle_length_of
-before it starts and refuses one longer than PERIOD_CAP digits, so this one
-check bounds period_digits, period_digits_reversed and expand alike.
+derived from them on access. _walk ends when the remainder is back at its
+start, so nothing is factored to learn the period's length, and it refuses
+a walk that has not closed after PERIOD_CAP steps; this one check bounds
+period_digits, period_digits_reversed and expand alike.
 
 long_division_oracle computes the same expansion by schoolbook remainder
 tracking and shares no code with the pipeline; run_oracle_sweep compares the
@@ -31,14 +32,15 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import mod
 
-from .digits import DigitString, to_digit_string, from_digit_string
+from .digits import DigitString, _valid_digit_string, to_digit_string, from_digit_string
 from .errors import CapacityError, NotAUnitError, ValidationError, ZeroDenominatorError
-from .graph import GraphParams, cycle_length_of
+from .graph import GraphParams
 from .numtheory import mod_inverse
 
-# _cycle refuses to walk a period longer than this many digits. At 10^6
+# _walk refuses to walk a period longer than this many digits. At 10^6
 # digits, expand takes about 0.3 s and 70 MB, trace with its table about
-# 2 s and 300 MB (2-vCPU x86 VM, Python 3.11).
+# 2 s and 300 MB, and a refusal 0.2-0.4 s and 54-69 MB (2-vCPU x86 VM,
+# Python 3.11).
 PERIOD_CAP = 10**6
 
 
@@ -125,25 +127,32 @@ class PeriodTrace:
         return len(self.remainders)
 
 
-def _walk(k: int, mult: int, m: int, length: int) -> list[int]:
-    """The first `length` stops of k under x -> mult*x mod m, starting at k."""
-    r = k
-    return [k] + [r := r * mult % m for _ in range(length - 1)]
+def _walk(k: int, start: int, mult: int, m: int) -> list[int]:
+    """Stops of the cycle through vertex k under x -> mult*x mod m, from
+    `start` (a stop of that cycle) until the walk is back at `start`.
+
+    Refuses a cycle longer than PERIOD_CAP, so it stores at most
+    PERIOD_CAP + 1 stops.
+    """
+    stops = [start]
+    append = stops.append
+    r = start * mult % m
+    for _ in range(PERIOD_CAP):
+        if r == start:
+            return stops
+        append(r)
+        r = r * mult % m
+    raise CapacityError(
+        f"refusing to walk the period of {k}/{m}: more than {PERIOD_CAP} digits (the period cap)"
+    )
 
 
 def _cycle(k: int, params: GraphParams, *, mult: int, start: int, right_to_left: bool) -> PeriodTrace:
-    """The cycle of vertex k walked from `start` by `mult`, as a PeriodTrace.
-
-    cycle_length_of checks that k is a vertex, and the length it returns is
-    checked against PERIOD_CAP, before anything is walked.
-    """
-    length = cycle_length_of(params, k)
-    if length > PERIOD_CAP:
-        raise CapacityError(
-            f"refusing to walk the period of {k}/{params.modulus}: {length} digits > period cap {PERIOD_CAP}"
-        )
-    rems = _walk(start, mult, params.modulus, length)
-    return PeriodTrace(params, k, tuple(rems), right_to_left)
+    """The cycle of vertex k walked from `start` by `mult`, as a PeriodTrace."""
+    m = params.modulus
+    if not 0 <= k < m:
+        raise ValidationError(f"vertex {k} out of range [0, {m}) for base {params.base}, n {params.n}")
+    return PeriodTrace(params, k, tuple(_walk(k, start, mult, m)), right_to_left)
 
 
 def period_digits(k: int, params: GraphParams) -> PeriodTrace:
@@ -241,7 +250,8 @@ def expand(f: Fraction, base: int) -> tuple[RadixExpansion, ReductionTrace]:
     c, n, scaled = reduce_coprime(red.tail_numerator, red.tail_denominator, base)
     walk = period_digits(scaled, GraphParams(base, n))
     trace = ReductionTrace(*parts, multiplier=c, graph_n=n, period_trace=walk)
-    return RadixExpansion(base, integer_digits, preperiod, DigitString(base, walk.digits)), trace
+    # each digit is a remainder mod base, so in range without a check
+    return RadixExpansion(base, integer_digits, preperiod, _valid_digit_string(base, walk.digits)), trace
 
 
 def long_division_oracle(f: Fraction, base: int) -> RadixExpansion:

@@ -10,7 +10,6 @@ length ord_d(B).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import CapacityError, ValidationError
@@ -91,19 +90,6 @@ def reverse_step(params: GraphParams, x: int) -> int:
     """Unique predecessor of x, i.e. n*x mod M (n is the inverse of B mod M)."""
     _check_vertex(params, x)
     return params.n * x % params.modulus
-
-
-def cycle_length_of(params: GraphParams, x: int) -> int:
-    """Cycle length through x without walking the cycle.
-
-    x = 0 is the fixed point; otherwise the length is ord_d(B) for
-    d = M / gcd(M, x).
-    """
-    _check_vertex(params, x)
-    if x == 0:
-        return 1
-    d = params.modulus // math.gcd(params.modulus, x)
-    return mult_order(params.base, d)
 
 
 def census(params: GraphParams) -> list[CensusRow]:

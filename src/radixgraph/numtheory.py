@@ -72,26 +72,6 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-@lru_cache(maxsize=None)
-def _order_direct(b: int, d: int) -> int:
-    acc = b % d
-    t = 1
-    while acc != 1:
-        acc = acc * b % d
-        t += 1
-    return t
-
-
-@lru_cache(maxsize=None)
-def _order_by_phi(b: int, d: int) -> int:
-    # start from phi(d) and strip every prime that keeps b^t = 1
-    t = euler_phi(d)
-    for p, _ in factorize(t):
-        while t % p == 0 and pow(b, t // p, d) == 1:
-            t //= p
-    return t
-
-
 def mult_order(b: int, d: int) -> int:
     """Least t >= 1 with b^t = 1 (mod d); requires gcd(b, d) = 1."""
     if b < 2:
@@ -103,8 +83,18 @@ def mult_order(b: int, d: int) -> int:
     if math.gcd(b, d) != 1:
         raise NotAUnitError(f"{b} is not a unit mod {d}")
     if d < 1000:
-        return _order_direct(b, d)
-    return _order_by_phi(b, d)
+        # small moduli: step through the powers of b
+        acc, t = b % d, 1
+        while acc != 1:
+            acc = acc * b % d
+            t += 1
+        return t
+    # start from phi(d) and strip every prime that keeps b^t = 1
+    t = euler_phi(d)
+    for p, _ in factorize(t):
+        while t % p == 0 and pow(b, t // p, d) == 1:
+            t //= p
+    return t
 
 
 def mod_inverse(b: int, d: int) -> int:

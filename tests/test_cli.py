@@ -99,8 +99,19 @@ def test_census_cap_override(capsys):
     _refused_by_factorize(capsys, "census", ABOVE_CAP_N)
 
 
+def _refused_by_period_cap(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_CAPACITY
+    assert out == "" and err.startswith("error: refusing to walk the period")
+    assert "more than 1000000 digits" in err
+
+
 def test_trace_above_factorization_cap(capsys):
-    _refused_by_factorize(capsys, "trace", "1", ABOVE_CAP_N)
+    # trace factors nothing, so M above the factorization cap is walked,
+    # and the walk from 1 is refused by the period cap
+    _refused_by_period_cap(capsys, "trace", "1", ABOVE_CAP_N)
 
 
 @pytest.mark.parametrize(
@@ -114,16 +125,27 @@ def test_trace_above_factorization_cap(capsys):
     ],
 )
 def test_period_above_cap_is_refused(capsys, argv, digits):
+    # digits is the period's length; the refusal, made by walking, can only
+    # say that it is above the cap
+    assert digits > expansion.PERIOD_CAP
+    _refused_by_period_cap(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "m,base", [("999999999999999999999999999999", 10), ("9999999999999999999", 10), ("2305843009213693951", 2)]
+)
+def test_expand_short_period_of_a_large_denominator(capsys, m, base):
+    # 10^30 - 1, 10^19 - 1 and 2^61 - 1: periods of 30, 19 and 61 digits,
+    # which the walk finds without factoring anything
     start = time.perf_counter()
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, "expand", f"1/{m}", "--base", str(base))
     assert time.perf_counter() - start < 1.0
-    assert code == cli.EXIT_CAPACITY
-    assert out == "" and err.startswith("error: refusing to walk the period")
-    assert f"{digits} digits > period cap {expansion.PERIOD_CAP}" in err
+    assert code == 0 and err == ""
+    assert out == format_expansion(long_division_oracle(Fraction(1, int(m)), base)) + "\n"
 
 
 def test_expand_period_modulus_above_factorization_cap(capsys):
-    # M = 9 * (10^18 + 1) is above 2^62, but only m' = 10^18 + 1 is factored
+    # M = 9 * (10^18 + 1) is above 2^62, and expand factors nothing
     code, out, err = run(capsys, "expand", "1/1000000000000000001")
     assert code == 0 and err == ""
     want = long_division_oracle(Fraction(1, 10**18 + 1), 10)
@@ -280,10 +302,17 @@ def test_demo_script_runs():
 # same number can mean a period just under the period cap (seconds and
 # hundreds of MB with --trace) or a modulus just under 2^62 (minutes of
 # trial division).
-_AT_A_CAP = ["1/2000113", "1/1000000007", "1/1000000000000000001", ABOVE_CAP_N, "600034"]
+_AT_A_CAP = [
+    "1/2000113",
+    "1/1000000007",
+    "1/1000000000000000001",
+    "1/999999999999999999999999999999",
+    ABOVE_CAP_N,
+    "600034",
+]
 _fractions = st.one_of(
     st.builds("{}/{}".format, st.integers(0, 10**6), st.integers(0, 3000)),
-    st.sampled_from(_AT_A_CAP[:3] + ["1/0", "x/3", "-1/3", "1/3/"]),
+    st.sampled_from(_AT_A_CAP[:4] + ["1/0", "x/3", "-1/3", "1/3/"]),
     st.text("0123456789/-x", max_size=8),
 )
 

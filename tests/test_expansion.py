@@ -18,7 +18,7 @@ from radixgraph.expansion import (
     run_oracle_sweep,
     value_of,
 )
-from radixgraph.graph import GraphParams, cycle_length_of, step
+from radixgraph.graph import GraphParams, step
 from radixgraph.numtheory import mult_order
 
 
@@ -55,9 +55,9 @@ def test_period_digits_other_starts():
 def test_period_digits_refuse_a_period_above_the_cap():
     # 6000339 = 3 * 2000113 and the cycle of 3 is the period of 1/2000113
     p = GraphParams(10, 600034)
-    assert cycle_length_of(p, 3) == 2000112 > PERIOD_CAP
+    assert mult_order(10, 2000113) == 2000112 > PERIOD_CAP
     for walk in (period_digits, period_digits_reversed):
-        with pytest.raises(CapacityError, match="2000112 digits > period cap 1000000"):
+        with pytest.raises(CapacityError, match="more than 1000000 digits"):
             walk(3, p)
 
 

@@ -9,7 +9,6 @@ from radixgraph.graph import (
     GraphParams,
     build_graph,
     census,
-    cycle_length_of,
     iterate,
     reverse_step,
     step,
@@ -87,7 +86,7 @@ def test_cycle_of_examples():
     [(10, 4, 13, 1), (10, 4, 0, 1), (10, 4, 1, 6), (10, 12, 17, 6), (10, 12, 7, 16), (12, 3, 7, 4)],
 )
 def test_cycle_length_examples(base, n, x, want):
-    assert cycle_length_of(GraphParams(base, n), x) == want
+    assert len(period_digits(x, GraphParams(base, n))) == want
 
 
 def test_census_small():
@@ -169,8 +168,8 @@ def test_reverse_step_inverts_step(pv):
 
 @given(params_and_vertex())
 def test_cycle_contains_x_and_has_predicted_length(pv):
-    # cycle_length_of sizes the walk; stops that follow step, are distinct
-    # and end at x pin that size to the true cycle length
+    # the walk sizes itself; stops that follow step, are distinct and end
+    # at x pin that size to the true cycle length
     p, x = pv
     rems = period_digits(x, p).remainders
     assert rems[-1] == x
