@@ -46,8 +46,7 @@ class DigitString:
 
 
 def _valid_digit_string(base: int, digits: tuple[int, ...]) -> DigitString:
-    """DigitString without __post_init__'s check, for digits the caller
-    computed as remainders mod base (so in range by construction)."""
+    """DigitString without the range check, for digits already taken mod base."""
     s = object.__new__(DigitString)
     object.__setattr__(s, "base", base)
     object.__setattr__(s, "digits", digits)

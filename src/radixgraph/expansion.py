@@ -13,12 +13,10 @@ The pipeline behind expand():
    order, is the repeating block.
 
 period_digits and period_digits_reversed are one remainder walk, _walk,
-with multiplier B (forward) or n (backward; n is the inverse of B mod M).
+which multiplies by B and ends back at its start, so nothing is factored
+to learn the period's length. Its step limit is the one period-cap check.
 The PeriodTrace they return stores only the remainders; its digits are
-derived from them on access. _walk ends when the remainder is back at its
-start, so nothing is factored to learn the period's length, and it refuses
-a walk that has not closed after PERIOD_CAP steps; this one check bounds
-period_digits, period_digits_reversed and expand alike.
+derived from them on access.
 
 long_division_oracle computes the same expansion by schoolbook remainder
 tracking and shares no code with the pipeline; run_oracle_sweep compares the
@@ -34,14 +32,15 @@ from operator import mod
 
 from .digits import DigitString, _valid_digit_string, to_digit_string, from_digit_string
 from .errors import CapacityError, NotAUnitError, ValidationError, ZeroDenominatorError
-from .graph import GraphParams
+from .graph import GraphParams, _check_vertex
 from .numtheory import mod_inverse
 
-# _walk refuses to walk a period longer than this many digits. At 10^6
-# digits, expand takes about 0.3 s and 70 MB, trace with its table about
-# 2 s and 300 MB, and a refusal 0.2-0.4 s and 54-69 MB (2-vCPU x86 VM,
-# Python 3.11).
+# _walk refuses a period longer than PERIOD_CAP digits, or, as it stores one
+# int the size of M per stop, than PERIOD_BITS // M.bit_length() digits. At
+# 10^6 digits expand takes about 0.3 s and 70 MB, trace with its table 2 s
+# and 300 MB (2-vCPU x86 VM, Python 3.11).
 PERIOD_CAP = 10**6
+PERIOD_BITS = 90 * PERIOD_CAP
 
 
 @dataclass(frozen=True)
@@ -107,12 +106,9 @@ class RadixExpansion:
 
 @dataclass(frozen=True)
 class PeriodTrace:
-    """Remainder walk around one cycle; digits are a view of it.
-
-    remainders holds the stops in walk order. The digit read at each stop is
-    its rightmost base-B digit, remainder mod B, computed on access, so a
-    walk stores one integer per stop.
-    """
+    """Remainder walk around one cycle, stops in walk order. The digit read
+    at each stop, remainder mod B, is computed on access, so a walk stores
+    one integer per stop."""
 
     params: GraphParams
     start: int
@@ -127,51 +123,60 @@ class PeriodTrace:
         return len(self.remainders)
 
 
-def _walk(k: int, start: int, mult: int, m: int) -> list[int]:
-    """Stops of the cycle through vertex k under x -> mult*x mod m, from
-    `start` (a stop of that cycle) until the walk is back at `start`.
-
-    Refuses a cycle longer than PERIOD_CAP, so it stores at most
-    PERIOD_CAP + 1 stops.
-    """
-    stops = [start]
+def _walk(k: int, params: GraphParams) -> list[int]:
+    """Stops B*k, B^2*k, ..., k of the cycle of vertex k. A walk still open
+    after a sixteenth of its limit goes on only if _closes_within says it
+    closes within the limit, so a refusal costs a sixteenth of a walk."""
+    _check_vertex(params, k)
+    base, m = params.base, params.modulus
+    limit = min(PERIOD_CAP, PERIOD_BITS // m.bit_length())
+    stops: list[int] = []
     append = stops.append
-    r = start * mult % m
-    for _ in range(PERIOD_CAP):
-        if r == start:
-            return stops
+    r = k
+    for _ in range(limit // 16 + 1):
+        r = r * base % m
         append(r)
-        r = r * mult % m
-    raise CapacityError(
-        f"refusing to walk the period of {k}/{m}: more than {PERIOD_CAP} digits (the period cap)"
-    )
+        if r == k:
+            return stops
+    if not _closes_within(k, base, m, limit):
+        raise CapacityError(f"refusing to walk the period of {k}/{m}: more than {limit} digits (the period cap)")
+    while r != k:
+        r = r * base % m
+        append(r)
+    return stops
 
 
-def _cycle(k: int, params: GraphParams, *, mult: int, start: int, right_to_left: bool) -> PeriodTrace:
-    """The cycle of vertex k walked from `start` by `mult`, as a PeriodTrace."""
-    m = params.modulus
-    if not 0 <= k < m:
-        raise ValidationError(f"vertex {k} out of range [0, {m}) for base {params.base}, n {params.n}")
-    return PeriodTrace(params, k, tuple(_walk(k, start, mult, m)), right_to_left)
+def _closes_within(k: int, base: int, m: int, limit: int) -> bool:
+    """Whether x -> base*x mod m brings k back within `limit` steps, by
+    baby-step giant-step with s*s > limit: the least i with k*base^(i*s)
+    equal to a baby step k*base^j (0 <= j < s) gives the cycle length
+    i*s - j, and no i <= s does if that length is above s*s."""
+    s = math.isqrt(limit) + 1
+    baby = {}
+    r = k
+    for j in range(s):
+        baby[r] = j
+        r = r * base % m
+    giant = pow(base, s, m)
+    for i in range(1, s + 1):
+        j = baby.get(r)
+        if j is not None:
+            return i * s - j <= limit
+        r = r * giant % m
+    return False
 
 
 def period_digits(k: int, params: GraphParams) -> PeriodTrace:
-    """Period of k/M as the rightmost digits along the cycle of k.
-
-    The walk multiplies by B: the i-th remainder is B^i * k mod M, and its
-    rightmost base-B digit is the i-th period digit. The walk ends back at k.
-    """
-    return _cycle(k, params, mult=params.base, start=params.base * k % params.modulus, right_to_left=False)
+    """Period of k/M along the cycle of k: the i-th remainder is B^i * k
+    mod M, and its rightmost base-B digit is the i-th period digit."""
+    return PeriodTrace(params, k, tuple(_walk(k, params)))
 
 
 def period_digits_reversed(k: int, params: GraphParams) -> PeriodTrace:
-    """Same cycle walked backwards (multiply by n), digits right to left.
-
-    n is the inverse of B mod M, so the walk multiplies by n: the i-th
-    remainder is n^(i-1) * k mod M, starting at k itself. Reading the digit
-    column bottom-up reproduces period_digits(k).
-    """
-    return _cycle(k, params, mult=params.n, start=k, right_to_left=True)
+    """Same cycle walked backwards, digits right to left: the i-th remainder
+    is n^(i-1) * k mod M (n is the inverse of B mod M), starting at k, which
+    are the stops of period_digits(k) in reverse order."""
+    return PeriodTrace(params, k, tuple(_walk(k, params))[::-1], right_to_left=True)
 
 
 def reduce_coprime(k: int, m: int, base: int) -> tuple[int, int, int]:

@@ -115,20 +115,34 @@ def test_trace_above_factorization_cap(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,digits",
+    "argv",
     [
-        (("expand", "1/2000113"), 2000112),
-        (("expand", "1/1000000007"), 1000000006),
-        (("expand", "1/1000000007", "--trace"), 1000000006),
-        (("trace", "1", "600034"), 2000112),
-        (("trace", "1", "600034", "--reverse"), 2000112),
+        pytest.param(("expand", "1/2000113"), id="argv0-2000112"),
+        pytest.param(("expand", "1/1000000007"), id="argv1-1000000006"),
+        pytest.param(("expand", "1/1000000007", "--trace"), id="argv2-1000000006"),
+        pytest.param(("trace", "1", "600034"), id="argv3-2000112"),
+        pytest.param(("trace", "1", "600034", "--reverse"), id="argv4-2000112"),
     ],
 )
-def test_period_above_cap_is_refused(capsys, argv, digits):
-    # digits is the period's length; the refusal, made by walking, can only
-    # say that it is above the cap
-    assert digits > expansion.PERIOD_CAP
+def test_period_above_cap_is_refused(capsys, argv):
+    # each id ends in the length of the period that is refused
     _refused_by_period_cap(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("expand", f"1/{10**3999 + 7}"), ("trace", "1", str(10**3999 + 3)), ("trace", "1", str(10**3999 + 3), "--reverse")],
+)
+def test_period_of_a_4000_digit_modulus_is_refused(capsys, argv):
+    # each stop of these walks is a 4000-digit int, so the step limit is
+    # PERIOD_BITS // M.bit_length(), a few thousand
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_CAPACITY
+    assert out == "" and err.startswith("error: refusing to walk the period")
+    m = int(err.split("/", 1)[1].split(":", 1)[0])
+    assert f"more than {expansion.PERIOD_BITS // m.bit_length()} digits" in err
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radixgraph.digits import DigitString
+from radixgraph import expansion
 from radixgraph.errors import CapacityError, NotAUnitError, ValidationError, ZeroDenominatorError
 from radixgraph.expansion import (
     PERIOD_CAP,
@@ -19,7 +20,7 @@ from radixgraph.expansion import (
     value_of,
 )
 from radixgraph.graph import GraphParams, step
-from radixgraph.numtheory import mult_order
+from radixgraph.numtheory import divisors, mult_order
 
 
 def test_fraction_validation():
@@ -114,6 +115,35 @@ def test_reversed_walk_is_exact_reversal(pv):
     assert tuple(reversed(rev.digits)) == fwd.digits
     assert fwd.remainders[-1] == x
     assert rev.remainders[0] == x
+
+
+def test_walk_is_refused_exactly_above_its_limit():
+    # every cycle length of every graph with modulus up to 400, bases to 16,
+    # walked with the cap at that length (answered) and one below (refused)
+    for base in range(2, 17):
+        for n in range(1, 401 // base + 1):
+            p = GraphParams(base, n)
+            for d in divisors(p.modulus):
+                x = p.modulus // d % p.modulus
+                length = 1 if d == 1 else mult_order(base, d)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(expansion, "PERIOD_CAP", length)
+                    assert len(period_digits(x, p)) == length
+                    if length > 1:
+                        mp.setattr(expansion, "PERIOD_CAP", length - 1)
+                        with pytest.raises(CapacityError, match=f"more than {length - 1} digits"):
+                            period_digits(x, p)
+
+
+def test_walk_limit_shrinks_with_the_modulus_size():
+    # M = 10069 has 14 bits and the cycle of 3 has 10068 stops
+    p = GraphParams(10, 1007)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expansion, "PERIOD_BITS", 14 * 10068)
+        assert len(period_digits_reversed(3, p)) == 10068
+        mp.setattr(expansion, "PERIOD_BITS", 14 * 10068 - 1)
+        with pytest.raises(CapacityError, match="more than 10067 digits"):
+            period_digits(3, p)
 
 
 def test_reversal_coherence_exhaustive_small():
