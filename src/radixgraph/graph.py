@@ -10,10 +10,11 @@ length ord_d(B).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import CapacityError, ValidationError
-from .numtheory import divisors, euler_phi, mult_order
+from .numtheory import factorize
 
 # build_graph refuses vertex sets larger than this by default.
 MATERIALIZATION_CAP = 10**6
@@ -97,15 +98,30 @@ def census(params: GraphParams) -> list[CensusRow]:
 
     Row d says: the phi(d) vertices x with M / gcd(M, x) = d split into
     phi(d) / ord_d(B) cycles of length ord_d(B). The d = 1 row is the fixed
-    point 0. Total vertices sum(phi(d)) = M. Needs to factor M, so the
-    modulus must stay under the factorization cap.
+    point 0. Total vertices sum(phi(d)) = M. Factors M once and p - 1 once
+    for each prime p | M; each of those is at most M, so the factorization
+    cap on M covers them all.
     """
-    rows = []
-    for d in divisors(params.modulus):
-        order = 1 if d == 1 else mult_order(params.base, d)
-        phi = euler_phi(d)
-        rows.append(CensusRow(d, order, phi, phi // order, order))
-    return rows
+    base = params.base
+    triples = [(1, 1, 1)]  # (d, phi(d), ord_d(B)) for each divisor d so far
+    for p, e in factorize(params.modulus):
+        # ord_p(B) divides p - 1: strip each prime of p - 1 while B^t stays 1
+        t = p - 1
+        for q, _ in factorize(p - 1):
+            while t % q == 0 and pow(base, t // q, p) == 1:
+                t //= q
+        # from p^(i-1) to p^i the order stays t or becomes t*p
+        powers = []
+        for i in range(1, e + 1):
+            if pow(base, t, p**i) != 1:
+                t *= p
+            powers.append((p**i, p**i - p ** (i - 1), t))
+        triples += [
+            (d * pd, phi * phid, math.lcm(order, od))
+            for d, phi, order in triples
+            for pd, phid, od in powers
+        ]
+    return [CensusRow(d, order, phi, phi // order, order) for d, phi, order in sorted(triples)]
 
 
 def build_graph(params: GraphParams, *, cap: int = MATERIALIZATION_CAP) -> FunctionalGraph:

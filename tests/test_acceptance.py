@@ -9,6 +9,8 @@ import random
 import time
 from collections import Counter
 
+from sympy import n_order
+
 from radixgraph.cli import main as cli_main
 from radixgraph.expansion import (
     Fraction,
@@ -28,7 +30,6 @@ from radixgraph.graph import (
     step,
 )
 from radixgraph.digits import rightmost_digit
-from radixgraph.numtheory import mult_order
 
 SWEEP_BASES = (2, 3, 8, 10, 12, 16)
 GRAPH_BASES = (2, 8, 10, 12, 16)
@@ -192,7 +193,7 @@ def _rotation_graphs():
             n += 1
         # largest modulus under the cap whose cycles are all short
         for n in range((MAX_MODULUS + 1) // base, 1, -1):
-            if mult_order(base, base * n - 1) <= 64:
+            if n_order(base, base * n - 1) <= 64:
                 yield GraphParams(base, n)
                 break
     yield GraphParams(10, 4)

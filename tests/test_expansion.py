@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import n_order
 
 from radixgraph.digits import DigitString
 from radixgraph import expansion
@@ -19,8 +20,7 @@ from radixgraph.expansion import (
     run_oracle_sweep,
     value_of,
 )
-from radixgraph.graph import GraphParams, step
-from radixgraph.numtheory import divisors, mult_order
+from radixgraph.graph import GraphParams, census, step
 
 
 def test_fraction_validation():
@@ -56,7 +56,7 @@ def test_period_digits_other_starts():
 def test_period_digits_refuse_a_period_above_the_cap():
     # 6000339 = 3 * 2000113 and the cycle of 3 is the period of 1/2000113
     p = GraphParams(10, 600034)
-    assert mult_order(10, 2000113) == 2000112 > PERIOD_CAP
+    assert n_order(10, 2000113) == 2000112 > PERIOD_CAP
     for walk in (period_digits, period_digits_reversed):
         with pytest.raises(CapacityError, match="more than 1000000 digits"):
             walk(3, p)
@@ -123,9 +123,9 @@ def test_walk_is_refused_exactly_above_its_limit():
     for base in range(2, 17):
         for n in range(1, 401 // base + 1):
             p = GraphParams(base, n)
-            for d in divisors(p.modulus):
-                x = p.modulus // d % p.modulus
-                length = 1 if d == 1 else mult_order(base, d)
+            for row in census(p):
+                x = p.modulus // row.d % p.modulus
+                length = row.order
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(expansion, "PERIOD_CAP", length)
                     assert len(period_digits(x, p)) == length
@@ -385,7 +385,7 @@ def test_period_is_primitive(fb):
     f, base = fb
     got, red = expand(f, base)
     if got.period.digits:
-        assert len(got.period) == mult_order(base, red.tail_denominator)
+        assert len(got.period) == n_order(base, red.tail_denominator)
         assert red.multiplier * red.tail_denominator == base * red.graph_n - 1
     if red.shift:
         assert len(got.preperiod) == red.shift

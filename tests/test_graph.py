@@ -2,7 +2,9 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import n_order, totient
 
+from radixgraph import graph
 from radixgraph.errors import CapacityError, ValidationError
 from radixgraph.expansion import period_digits
 from radixgraph.graph import (
@@ -13,7 +15,7 @@ from radixgraph.graph import (
     reverse_step,
     step,
 )
-from radixgraph.numtheory import euler_phi
+from radixgraph.numtheory import factorize
 
 
 def test_params_modulus():
@@ -110,6 +112,35 @@ def test_census_vertex_total():
         assert sum(r.cycle_count * r.cycle_length for r in rows) == base * n - 1
 
 
+@pytest.mark.parametrize(
+    "base,n,modulus",
+    [
+        (10, 23717, 487**2),  # 10 is a Wieferich base of 487: the order stays 486
+        (2, 597325, 1093**2),  # 1093 is a Wieferich prime: the order stays 364
+        (10, 73, 3**6),
+        (3, 3, 2**3),
+        (3, 11, 2**5),
+        (10, 5, 7**2),
+    ],
+)
+def test_census_lifts_orders_over_prime_powers(base, n, modulus):
+    p = GraphParams(base, n)
+    assert p.modulus == modulus
+    for r in census(p):
+        assert r.phi == totient(r.d)
+        assert r.order == (1 if r.d == 1 else n_order(base, r.d))
+
+
+def test_census_factors_m_and_each_p_minus_1_once(monkeypatch):
+    # M = 819 = 3^2 * 7 * 13 has 3 distinct primes, so 1 + 3 factorizations
+    p = GraphParams(10, 82)
+    assert factorize(p.modulus) == ((3, 2), (7, 1), (13, 1))
+    calls = []
+    monkeypatch.setattr(graph, "factorize", lambda n: calls.append(n) or factorize(n))
+    assert len(census(p)) == 12
+    assert sorted(calls) == [2, 6, 12, 819]
+
+
 def test_build_graph_small():
     g = build_graph(GraphParams(10, 4))
     assert len(g.successor) == 39
@@ -201,5 +232,5 @@ def test_census_phi_sum(base, n):
     p = GraphParams(base, n)
     rows = census(p)
     assert sum(r.phi for r in rows) == p.modulus
-    assert [r.phi for r in rows] == [euler_phi(r.d) for r in rows]
+    assert [r.phi for r in rows] == [totient(r.d) for r in rows]
     assert all(r.phi == r.cycle_count * r.cycle_length for r in rows)

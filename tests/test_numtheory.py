@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from radixgraph.errors import CapacityError, NotAUnitError, UndefinedInputError, ValidationError
-from radixgraph.numtheory import (
-    FACTORIZATION_CAP,
-    divisors,
-    euler_phi,
-    factorize,
-    mod_inverse,
-    mult_order,
-)
+from radixgraph.graph import GraphParams, census
+from radixgraph.numtheory import FACTORIZATION_CAP, factorize, mod_inverse
 
 
 @pytest.mark.parametrize(
@@ -65,32 +59,48 @@ def test_factorize_reconstructs_and_primes(n):
         assert e >= 1
 
 
+# Divisors, totients and orders are read off graph.census. Base n + 1 with
+# multiplier 1 has modulus n; the row d of base b with multiplier
+# b^-1 mod d (any n when d = 1) has order ord_d(b).
+
+
+def _rows_of_modulus(n):
+    return census(GraphParams(n + 1, 1))
+
+
+def _order_row(b, d):
+    n = mod_inverse(b, d) or 1
+    (row,) = [r for r in census(GraphParams(b, n)) if r.d == d]
+    return row
+
+
 @pytest.mark.parametrize(
     "n,want",
     [(39, [1, 3, 13, 39]), (1, [1]), (35, [1, 5, 7, 35]), (16, [1, 2, 4, 8, 16])],
 )
 def test_divisors_examples(n, want):
-    assert divisors(n) == want
+    assert [r.d for r in _rows_of_modulus(n)] == want
 
 
 @given(st.integers(1, 2000))
 def test_divisors_matches_enumeration(n):
-    assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+    assert [r.d for r in _rows_of_modulus(n)] == [d for d in range(1, n + 1) if n % d == 0]
 
 
 @pytest.mark.parametrize("n,want", [(39, 24), (119, 96), (1, 1), (17, 16), (2, 1)])
 def test_euler_phi_examples(n, want):
-    assert euler_phi(n) == want
+    assert _rows_of_modulus(n)[-1].phi == want
 
 
 @given(st.integers(1, 500))
 def test_euler_phi_counts_coprimes(n):
-    assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+    for r in _rows_of_modulus(n):
+        assert r.phi == sum(1 for k in range(1, r.d + 1) if math.gcd(k, r.d) == 1)
 
 
 @given(st.integers(1, 10**4))
 def test_phi_divisor_sum(n):
-    assert sum(euler_phi(d) for d in divisors(n)) == n
+    assert sum(r.phi for r in _rows_of_modulus(n)) == n
 
 
 @pytest.mark.parametrize(
@@ -98,28 +108,16 @@ def test_phi_divisor_sum(n):
     [(10, 13, 6), (10, 17, 16), (12, 5, 4), (10, 3, 1), (2, 7, 3), (10, 1, 1), (10, 9999, 4)],
 )
 def test_mult_order_examples(b, d, want):
-    assert mult_order(b, d) == want
-
-
-def test_mult_order_rejects_common_factor():
-    with pytest.raises(NotAUnitError):
-        mult_order(10, 35)
-
-
-def test_mult_order_validates_args():
-    with pytest.raises(ValidationError):
-        mult_order(1, 7)
-    with pytest.raises(ValidationError):
-        mult_order(10, 0)
+    assert _order_row(b, d).order == want
 
 
 @given(st.integers(2, 16), st.integers(1, 10**4))
 def test_mult_order_law_and_minimality(b, d):
     if math.gcd(b, d) != 1:
         return
-    t = mult_order(b, d)
+    t = _order_row(b, d).order
     assert pow(b, t, d) == 1 % d
-    # minimality by direct scan; both code paths must agree with it
+    # minimality by direct scan
     acc = b % d
     expect = 1
     while acc != 1 % d:
