@@ -12,6 +12,7 @@ import sys
 
 import argparse
 
+from .digits import decimal_str
 from .errors import CapacityError, ParseError, ValidationError
 from .expansion import Fraction, expand, period_digits, period_digits_reversed, run_oracle_sweep
 from .export import (
@@ -23,7 +24,7 @@ from .export import (
     graph_to_json,
     trace_table,
 )
-from .graph import MATERIALIZATION_CAP, GraphParams, build_graph, census
+from .graph import GraphParams, build_graph, census
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -52,7 +53,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
     if args.trace:
         line = (
             f"reduction: shift={red.shift} integer={red.integer_part}"
-            f" preperiod_value={red.preperiod_value}"
+            f" preperiod_value={decimal_str(red.preperiod_value)}"
             f" tail={red.tail_numerator}/{red.tail_denominator}"
         )
         if red.multiplier is not None:
@@ -60,7 +61,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
         print(line)
         walk = red.period_trace
         if walk is not None:
-            print(f"period trace of {walk.start}/{walk.params.modulus}:")
+            print(f"period trace of {decimal_str(walk.start)}/{decimal_str(walk.params.modulus)}:")
             print(trace_table(walk), end="")
     return EXIT_OK
 
@@ -72,17 +73,13 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    graph = build_graph(GraphParams(args.base, args.n), cap=args.max_modulus)
+    graph = build_graph(GraphParams(args.base, args.n))
     options = ExportOptions(
         label_base="base" if args.labels == "base" else "decimal",
         highlight=args.highlight,
     )
-    if args.format == "dot":
-        print(graph_to_dot(graph, options), end="")
-    elif args.format == "json":
-        print(graph_to_json(graph, options), end="")
-    else:
-        print(cycle_table(graph), end="")
+    render = {"dot": graph_to_dot, "json": graph_to_json, "table": cycle_table}[args.format]
+    print(render(graph, options), end="")
     return EXIT_OK
 
 
@@ -134,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("dot", "json", "table"), default="dot")
     p.add_argument("--labels", choices=("dec", "base"), default="dec")
     p.add_argument("--highlight", type=int, default=None, help="vertex to mark in the output")
-    p.add_argument("--max-modulus", type=int, default=MATERIALIZATION_CAP, help="vertex cap (default %(default)s)")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("trace", help="remainder walk of vertex K in the graph mod base*n - 1")

@@ -61,6 +61,14 @@ def digit_symbols(digits: tuple[int, ...], base: int) -> list[str]:
     return [f"[{d}]" for d in digits]
 
 
+def decimal_str(x: int) -> str:
+    """x in decimal at any size. str(x) refuses more digits than
+    sys.get_int_max_str_digits() allows (4300 by default); Decimal does not."""
+    from decimal import Decimal  # here, as importing it adds 2 ms to every start-up
+
+    return str(Decimal(x))
+
+
 def rightmost_digit(x: int, base: int) -> int:
     """Last base-B digit of a nonnegative integer, i.e. x mod B."""
     if base < 2:

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import mod
 
-from .digits import DigitString, _valid_digit_string, to_digit_string, from_digit_string
+from .digits import DigitString, _valid_digit_string, decimal_str, to_digit_string, from_digit_string
 from .errors import CapacityError, NotAUnitError, ValidationError, ZeroDenominatorError
 from .graph import GraphParams, _check_vertex
-from .numtheory import mod_inverse
 
 # _walk refuses a period longer than PERIOD_CAP digits, or, as it stores one
 # int the size of M per stop, than PERIOD_BITS // M.bit_length() digits. At
@@ -41,6 +40,10 @@ from .numtheory import mod_inverse
 # and 300 MB (2-vCPU x86 VM, Python 3.11).
 PERIOD_CAP = 10**6
 PERIOD_BITS = 90 * PERIOD_CAP
+# factor_out_base refuses a shift with shift * B.bit_length() above this. Its
+# cost grows as the square of that product; at the cap base 3 is slowest, at
+# 0.45 s on the same VM, and in base 10 every 4300-digit denominator answers.
+PREPERIOD_BITS = 2**16
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,10 @@ def _walk(k: int, params: GraphParams) -> list[int]:
         if r == k:
             return stops
     if not _closes_within(k, base, m, limit):
-        raise CapacityError(f"refusing to walk the period of {k}/{m}: more than {limit} digits (the period cap)")
+        raise CapacityError(
+            f"refusing to walk the period of {decimal_str(k)}/{decimal_str(m)}:"
+            f" more than {limit} digits (the period cap)"
+        )
     while r != k:
         r = r * base % m
         append(r)
@@ -192,19 +198,21 @@ def reduce_coprime(k: int, m: int, base: int) -> tuple[int, int, int]:
         raise ValidationError(f"expected 1 <= k < m with m >= 2, got k={k}, m={m}")
     if math.gcd(m, base) != 1:
         raise NotAUnitError(f"denominator {m} shares a factor with base {base}")
-    c = (-mod_inverse(m, base)) % base
+    c = pow(-m, -1, base)
     n = (c * m + 1) // base
     return c, n, c * k
 
 
-def factor_out_base(k: int, m: int, base: int) -> ReductionTrace:
+def factor_out_base(k: int, m: int, base: int) -> tuple[int, int, int, int]:
     """Strip the primes of the base from the denominator of k/m (lowest terms).
 
     Divides m by gcd(m, base) until the two are coprime; that leaves the
     tail denominator m', and the number of divisions is the least shift e
     with (m / m') | base^e. Then splits base^e * k/m as
     preperiod_value + tail_numerator/tail_denominator with
-    0 <= tail_numerator < tail_denominator = m'. Nothing is factored.
+    0 <= tail_numerator < tail_denominator = m', and returns
+    (shift, preperiod_value, tail_numerator, tail_denominator). Nothing is
+    factored, and a shift above PREPERIOD_BITS // base.bit_length() is refused.
     """
     if base < 2:
         raise ValidationError(f"base must be >= 2, got {base}")
@@ -212,19 +220,16 @@ def factor_out_base(k: int, m: int, base: int) -> ReductionTrace:
         raise ValidationError(f"expected 1 <= k < m, got k={k}, m={m}")
     if math.gcd(k, m) != 1:
         raise ValidationError(f"{k}/{m} is not in lowest terms")
+    max_shift = PREPERIOD_BITS // base.bit_length()
     shift = 0
     m_prime = m
     while (g := math.gcd(m_prime, base)) > 1:
+        if shift == max_shift:
+            raise CapacityError(f"refusing a preperiod of more than {max_shift} digits (the preperiod cap)")
         m_prime //= g
         shift += 1
     pre_value, tail_num = divmod(k * (base**shift // (m // m_prime)), m_prime)
-    return ReductionTrace(
-        shift=shift,
-        integer_part=0,
-        preperiod_value=pre_value,
-        tail_numerator=tail_num,
-        tail_denominator=m_prime,
-    )
+    return shift, pre_value, tail_num, m_prime
 
 
 def expand(f: Fraction, base: int) -> tuple[RadixExpansion, ReductionTrace]:
@@ -244,15 +249,14 @@ def expand(f: Fraction, base: int) -> tuple[RadixExpansion, ReductionTrace]:
         trace = ReductionTrace(0, whole, 0, 0, 1)
         return RadixExpansion(base, integer_digits, empty, empty), trace
 
-    # factor_out_base leaves integer_part and the period fields unset; the
-    # trace returned here is built once, with all of them
-    red = factor_out_base(k, m, base)
-    parts = (red.shift, whole, red.preperiod_value, red.tail_numerator, red.tail_denominator)
-    preperiod = to_digit_string(red.preperiod_value, base, red.shift) if red.shift else empty
-    if red.tail_numerator == 0 or red.tail_denominator == 1:
+    shift, pre_value, tail_num, tail_den = factor_out_base(k, m, base)
+    parts = (shift, whole, pre_value, tail_num, tail_den)
+    preperiod = to_digit_string(pre_value, base, shift) if shift else empty
+    # tail_num is coprime to tail_den, so it is 0 only when tail_den is 1
+    if tail_den == 1:
         return RadixExpansion(base, integer_digits, preperiod, empty), ReductionTrace(*parts)
 
-    c, n, scaled = reduce_coprime(red.tail_numerator, red.tail_denominator, base)
+    c, n, scaled = reduce_coprime(tail_num, tail_den, base)
     walk = period_digits(scaled, GraphParams(base, n))
     trace = ReductionTrace(*parts, multiplier=c, graph_n=n, period_trace=walk)
     # each digit is a remainder mod base, so in range without a check

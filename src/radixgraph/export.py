@@ -6,9 +6,10 @@ All output here is deterministic: same input, byte-identical text.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
-from .digits import digit_symbols, to_digit_string
+from .digits import decimal_str, digit_symbols, to_digit_string
 from .errors import ValidationError
 from .expansion import PeriodTrace, RadixExpansion
 from .graph import FunctionalGraph, census
@@ -68,9 +69,13 @@ def trace_table(trace: PeriodTrace) -> str:
     """Remainder walk as an aligned table; notes reading order when reversed."""
     headers = ["i", "remainder", "digit"]
     rems = trace.remainders
+    try:
+        rem_text = list(map(str, rems))
+    except ValueError:  # str() refuses ints over sys.get_int_max_str_digits() digits
+        rem_text = list(map(decimal_str, rems))
     columns = [
         list(map(str, range(1, len(rems) + 1))),
-        list(map(str, rems)),
+        rem_text,
         digit_symbols(trace.digits, trace.params.base),
     ]
     out = _table(headers, columns)
@@ -79,13 +84,19 @@ def trace_table(trace: PeriodTrace) -> str:
     return out
 
 
-def cycle_table(graph: FunctionalGraph) -> str:
-    """One row per cycle: index, length, vertices in successor order."""
+def cycle_table(graph: FunctionalGraph, options: ExportOptions = ExportOptions()) -> str:
+    """One row per cycle: index, length, vertices in successor order, labelled
+    as in graph_to_dot; the highlighted vertex gets a trailing "*"."""
+    highlight = _checked_highlight(options, graph.params.modulus)
+    label = partial(_vertex_label, base=graph.params.base) if options.label_base == "base" else str
     cycles = graph.cycles
     # _table right-aligns; the vertex lists are left-aligned, so they are
     # appended to its lines instead of passed as a third column
     counts = _table(["cycle", "length"], [list(map(str, range(len(cycles)))), [str(len(c)) for c in cycles]])
-    vertices = ["vertices", *(" ".join(map(str, c)) for c in cycles)]
+    vertices = ["vertices", *(" ".join(map(label, c)) for c in cycles)]
+    if highlight is not None:
+        i = next(i for i, c in enumerate(cycles) if highlight in c)
+        vertices[i + 1] = " ".join(label(v) + "*" * (v == highlight) for v in cycles[i])
     return "".join(f"{line} | {v}\n" for line, v in zip(counts.splitlines(), vertices))
 
 
@@ -97,7 +108,7 @@ def _checked_highlight(options: ExportOptions, m: int) -> int | None:
     """options.highlight, refused unless it is a vertex of the graph mod m."""
     v = options.highlight
     if v is not None and not 0 <= v < m:
-        raise ValidationError(f"highlight vertex {v} out of range [0, {m})")
+        raise ValidationError(f"highlight vertex {decimal_str(v)} out of range [0, {m})")
     return v
 
 
@@ -133,16 +144,7 @@ def graph_to_json(graph: FunctionalGraph, options: ExportOptions = ExportOptions
         "params": {"base": params.base, "n": params.n},
         "modulus": params.modulus,
         "cycles": [list(c) for c in graph.cycles],
-        "census": [
-            {
-                "d": r.d,
-                "order": r.order,
-                "phi": r.phi,
-                "cycle_count": r.cycle_count,
-                "cycle_length": r.cycle_length,
-            }
-            for r in census(params)
-        ],
+        "census": [asdict(r) for r in census(params)],
     }
     if options.label_base == "base":
         payload["labels"] = {str(v): _vertex_label(v, params.base) for v in range(params.modulus)}

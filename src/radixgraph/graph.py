@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .digits import decimal_str
 from .errors import CapacityError, ValidationError
 from .numtheory import factorize
 
-# build_graph refuses vertex sets larger than this by default.
+# build_graph refuses more vertices than this; at 10^6 it peaks near 100 MB.
 MATERIALIZATION_CAP = 10**6
 
 
@@ -62,15 +63,11 @@ class FunctionalGraph:
     successor: tuple[int, ...]
     cycles: tuple[tuple[int, ...], ...]
 
-    def cycle_lengths(self) -> list[int]:
-        return [len(c) for c in self.cycles]
-
 
 def _check_vertex(params: GraphParams, x: int) -> None:
     if not 0 <= x < params.modulus:
-        raise ValidationError(
-            f"vertex {x} out of range [0, {params.modulus}) for base {params.base}, n {params.n}"
-        )
+        x, m, base, n = map(decimal_str, (x, params.modulus, params.base, params.n))
+        raise ValidationError(f"vertex {x} out of range [0, {m}) for base {base}, n {n}")
 
 
 def step(params: GraphParams, x: int) -> int:
@@ -124,11 +121,11 @@ def census(params: GraphParams) -> list[CensusRow]:
     return [CensusRow(d, order, phi, phi // order, order) for d, phi, order in sorted(triples)]
 
 
-def build_graph(params: GraphParams, *, cap: int = MATERIALIZATION_CAP) -> FunctionalGraph:
-    """Materialize successor map and cycle decomposition for M <= cap vertices."""
+def build_graph(params: GraphParams) -> FunctionalGraph:
+    """Materialize successor map and cycle decomposition for M <= MATERIALIZATION_CAP vertices."""
     m = params.modulus
-    if m > cap:
-        raise CapacityError(f"graph has {m} vertices, above cap {cap}")
+    if m > MATERIALIZATION_CAP:
+        raise CapacityError(f"graph has {decimal_str(m)} vertices, above cap {MATERIALIZATION_CAP}")
     base = params.base
     successor = tuple(base * x % m for x in range(m))
     cycles = []

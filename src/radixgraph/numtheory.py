@@ -1,16 +1,17 @@
-"""Exact integer arithmetic: factorization and modular inverses.
+"""Exact integer factorization: trial division guarded by a magnitude cap.
 
-All functions are pure. Factorization is plain trial division guarded by a
-magnitude cap, which keeps worst-case runtime predictable at the scales this
-package targets. factorize is the one place that checks the cap; graph.census
-derives divisors, totients and orders from the factorizations it returns.
+factorize is the one place that checks the cap; graph.census derives divisors,
+totients and orders from the factorizations it returns. The cap bounds time only
+loosely: a prime just under it is the worst case, and `census 461168601842738771`
+(M = 4611686018427387709) takes 182.6 s (2-vCPU VM; ROADMAP item 2).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import CapacityError, NotAUnitError, UndefinedInputError, ValidationError
+from .digits import decimal_str
+from .errors import CapacityError, UndefinedInputError
 
 # Above this, trial division is refused rather than attempted.
 FACTORIZATION_CAP = 2**62
@@ -51,15 +52,5 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise UndefinedInputError(f"factorize expects a positive integer, got {n}")
     if n > FACTORIZATION_CAP:
-        raise CapacityError(f"refusing to factor {n} > cap {FACTORIZATION_CAP}")
+        raise CapacityError(f"refusing to factor {decimal_str(n)} > cap {FACTORIZATION_CAP}")
     return _trial_division(n)
-
-
-def mod_inverse(b: int, d: int) -> int:
-    """Inverse of b modulo d, in [0, d); requires gcd(b, d) = 1."""
-    if d < 1:
-        raise ValidationError(f"mod_inverse expects modulus >= 1, got {d}")
-    try:
-        return pow(b, -1, d)
-    except ValueError:
-        raise NotAUnitError(f"{b} is not a unit mod {d}") from None

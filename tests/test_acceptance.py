@@ -112,7 +112,7 @@ def test_criterion_4_census_vs_materialization(capsys):
             predicted = Counter()
             for row in rows:
                 predicted[row.cycle_length] += row.cycle_count
-            ok = ok and predicted == Counter(g.cycle_lengths())
+            ok = ok and predicted == Counter(map(len, g.cycles))
             ok = ok and sum(r.phi for r in rows) == params.modulus
             graphs += 1
             vertices += params.modulus

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,50 @@ def test_period_of_a_4000_digit_modulus_is_refused(capsys, argv):
     assert f"more than {expansion.PERIOD_BITS // m.bit_length()} digits" in err
 
 
+# B = 10^4299 has 4300 digits, the most an argv integer may have; a
+# remainder or modulus built from two such numbers has more, and str()
+# refuses those
+_B = str(10**4299)
+
+
+@pytest.mark.parametrize(
+    "argv,code,err_start",
+    [
+        (("expand", f"1/{10**4299 + 3}", "--base", _B), 4, "error: refusing to walk the period of"),
+        (("trace", "1", str(10**4299 + 7), "--base", _B), 4, "error: refusing to walk the period of 1/"),
+        (("trace", "-1", _B, "--base", _B), 3, "error: vertex -1 out of range"),
+        (("census", _B, "--base", _B), 4, "error: refusing to factor"),
+        (("graph", _B, "--base", _B), 4, "error: graph has"),
+    ],
+    ids=["expand", "trace", "trace-bad-vertex", "census", "graph"],
+)
+def test_refusal_names_a_modulus_over_4300_digits(capsys, argv, code, err_start):
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    assert out == "" and err.startswith(err_start) and "Traceback" not in err
+
+
+def test_a_remainder_over_4300_digits_is_written_out_exactly(capsys):
+    # the walk of 10^2199 + 1 under B = 10^2200 stops at 10^4399 + 10^2200, then back at 10^2199 + 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, "trace", str(10**2199 + 1), str(10**2200), "--base", str(10**2200))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    rows = [line.split(" | ") for line in out.splitlines()[1:]]
+    assert [r[1].strip() for r in rows] == ["1" + "0" * 2198 + "1" + "0" * 2200, "1" + "0" * 2198 + "1"]
+
+
+def test_expand_trace_of_a_preperiod_value_over_4300_digits(capsys):
+    code, out, err = run(capsys, "expand", f"1/{2**14000}", "--trace")
+    assert code == 0 and err == ""
+    line = out.splitlines()[1]
+    assert line.startswith("reduction: shift=14000 integer=0 preperiod_value=") and line.endswith(" tail=0/1")
+    value = line.split("preperiod_value=")[1].split()[0]
+    assert int(Decimal(value)) == 5**14000
+
+
 @pytest.mark.parametrize(
     "m,base", [("999999999999999999999999999999", 10), ("9999999999999999999", 10), ("2305843009213693951", 2)]
 )
@@ -220,6 +265,21 @@ def test_graph_table_with_labels(capsys):
         "    3 |      6 | 5 25 20 30 10 15\n"
         "    4 |      4 | 7 14 28 21\n"
     )
+    # the table honours --labels base and marks --highlight
+    code, out, _ = run(capsys, "graph", "3", "--base", "12", "--format", "table", "--labels", "base", "--highlight", "7")
+    assert code == 0
+    assert out == (
+        "cycle | length | vertices\n"
+        "    0 |      1 | 0\n"
+        "    1 |     12 | 1 10 4 11 14 15 25 29 b 23 9 3\n"
+        "    2 |     12 | 2 20 8 22 28 2a 1b 27 1a 17 16 6\n"
+        "    3 |      6 | 5 21 18 26 a 13\n"
+        "    4 |      4 | 7* 12 24 19\n"
+    )
+    # and refuses a highlight outside the graph, as dot and json do
+    code, out, err = run(capsys, "graph", "3", "--format", "table", "--highlight", "99999")
+    assert code == cli.EXIT_VALIDATION
+    assert out == "" and err == "error: highlight vertex 99999 out of range [0, 29)\n"
 
 
 def test_graph_deterministic(capsys):
@@ -269,6 +329,28 @@ def test_expand_above_factorization_cap_terminates(capsys):
     assert out == "0." + "0" * 69 + "1 (base 2)\n"
 
 
+# B = 2 * 3^400 has 635 bits, so PREPERIOD_BITS = 2^16 allows a shift of 103
+_B635 = str(2 * 3**400)
+
+
+@pytest.mark.parametrize(
+    "m,base", [(str(2**103), _B635), (str(3 * 2**103), _B635), (str(2**14000), "10")], ids=["2^103", "3*2^103", "2^14000"]
+)
+def test_preperiod_under_its_cap_matches_oracle(capsys, m, base):
+    code, out, err = run(capsys, "expand", f"1/{m}", "--base", base)
+    assert code == 0 and err == ""
+    assert out == format_expansion(long_division_oracle(Fraction(1, int(m)), int(base))) + "\n"
+
+
+@pytest.mark.parametrize("m", [str(2**104), str(2**1000)], ids=["2^104", "2^1000"])
+def test_preperiod_above_its_cap_is_refused(capsys, m):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "expand", f"1/{m}", "--base", _B635)
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_CAPACITY
+    assert out == "" and err == "error: refusing a preperiod of more than 103 digits (the preperiod cap)\n"
+
+
 def test_bad_base_list_exit_code(capsys):
     code, _, err = run(capsys, "sweep", "5", "--bases", "10,x")
     assert code == cli.EXIT_PARSE
@@ -289,11 +371,6 @@ def test_capacity_exit_code(capsys):
     code, _, err = run(capsys, "graph", "200000", "--base", "10")
     assert code == cli.EXIT_CAPACITY
     assert "error:" in err
-    # the override works in both directions
-    code, _, _ = run(capsys, "graph", "50", "--base", "10", "--max-modulus", "100")
-    assert code == cli.EXIT_CAPACITY
-    code, out, _ = run(capsys, "graph", "50", "--base", "10", "--max-modulus", "499")
-    assert code == 0 and len([l for l in out.splitlines() if "->" in l]) == 499
 
 
 def test_argparse_rejects_unknown_subcommand():
@@ -353,7 +430,6 @@ def _argv(draw):
         options = ["--format=json", "--format=table", "--format=png", "--labels=base"]
         flags = draw(st.lists(st.sampled_from(options), max_size=2))
         flags += draw(st.lists(st.builds("--highlight={}".format, st.integers(-2, 5000)), max_size=1))
-        flags += draw(st.lists(st.builds("--max-modulus={}".format, st.integers(-1, 5000)), max_size=1))
         return ["graph", draw(_num(-2, 300)), "--base", draw(_num(-2, 40)), *flags]
     if cmd == "trace":
         n = draw(st.one_of(_num(-2, 2000), st.just("600034")))

@@ -70,6 +70,14 @@ def test_expand_just_under_the_period_cap_matches_oracle():
     assert len(red.period_trace) == 999982
 
 
+def test_period_refusal_names_a_modulus_over_4300_digits():
+    # M = 10^4299 * (10^4299 + 7) - 1 has 8599 digits, more than str() writes
+    with pytest.raises(CapacityError, match="refusing to walk the period of 1/"):
+        period_digits(1, GraphParams(10**4299, 10**4299 + 7))
+    with pytest.raises(ValidationError, match="vertex -1 out of range"):
+        period_digits(-1, GraphParams(10**4299, 10**4299 + 7))
+
+
 def test_period_digits_validates():
     with pytest.raises(ValidationError):
         period_digits(39, GraphParams(10, 4))
@@ -214,26 +222,32 @@ def test_reduce_coprime_validates():
 
 
 def test_factor_out_base_examples():
-    red = factor_out_base(7, 20, 12)
-    assert (red.shift, red.preperiod_value, red.tail_numerator, red.tail_denominator) == (1, 4, 1, 5)
-    red = factor_out_base(1, 6, 10)
-    assert (red.shift, red.preperiod_value, red.tail_numerator, red.tail_denominator) == (1, 1, 2, 3)
-    red = factor_out_base(1, 4, 10)
-    assert (red.shift, red.preperiod_value, red.tail_numerator, red.tail_denominator) == (2, 25, 0, 1)
-    red = factor_out_base(3, 7, 10)
-    assert (red.shift, red.preperiod_value, red.tail_numerator, red.tail_denominator) == (0, 0, 3, 7)
+    # (shift, preperiod_value, tail_numerator, tail_denominator)
+    assert factor_out_base(7, 20, 12) == (1, 4, 1, 5)
+    assert factor_out_base(1, 6, 10) == (1, 1, 2, 3)
+    assert factor_out_base(1, 4, 10) == (2, 25, 0, 1)
+    assert factor_out_base(3, 7, 10) == (0, 0, 3, 7)
 
 
 def test_factor_out_base_does_not_factor_the_denominator():
     # 2^70 is above the factorization cap, yet the expansion terminates
-    red = factor_out_base(1, 2**70, 2)
-    assert (red.shift, red.preperiod_value, red.tail_numerator, red.tail_denominator) == (70, 1, 0, 1)
-    red = factor_out_base(1, 10 * 2**62, 2)
-    assert (red.shift, red.preperiod_value, red.tail_numerator, red.tail_denominator) == (63, 0, 1, 5)
+    assert factor_out_base(1, 2**70, 2) == (70, 1, 0, 1)
+    assert factor_out_base(1, 10 * 2**62, 2) == (63, 0, 1, 5)
     x, _ = expand(Fraction(1, 2**70), 2)
     assert x.preperiod.digits == (0,) * 69 + (1,)
     assert x.period.digits == ()
     assert value_of(x) == Fraction(1, 2**70)
+
+
+def test_factor_out_base_refuses_a_shift_above_the_preperiod_cap():
+    base = 2 * 3**400  # 635 bits
+    max_shift = expansion.PREPERIOD_BITS // base.bit_length()
+    assert max_shift == 103
+    assert factor_out_base(1, 2**max_shift, base) == (max_shift, 3**(400 * max_shift), 0, 1)
+    with pytest.raises(CapacityError, match=f"more than {max_shift} digits"):
+        factor_out_base(1, 2 ** (max_shift + 1), base)
+    with pytest.raises(CapacityError):
+        factor_out_base(1, 2, 2**expansion.PREPERIOD_BITS)
 
 
 def test_factor_out_base_validates():
@@ -247,17 +261,15 @@ def test_factor_out_base_validates():
 def test_factor_out_base_invariants(base, m):
     ks = [k for k in range(1, min(m, 40)) if math.gcd(k, m) == 1]
     for k in ks[:4]:
-        red = factor_out_base(k, m, base)
-        assert math.gcd(red.tail_denominator, base) == 1
-        assert 0 <= red.tail_numerator < red.tail_denominator
+        shift, pre_value, tail_num, tail_den = factor_out_base(k, m, base)
+        assert math.gcd(tail_den, base) == 1
+        assert 0 <= tail_num < tail_den
         # value is preserved: k/m = (preperiod_value + tail) / base^shift
-        lhs = k * red.tail_denominator * base**red.shift
-        rhs = (red.preperiod_value * red.tail_denominator + red.tail_numerator) * m
-        assert lhs == rhs
-        assert red.preperiod_value < base**red.shift
-        if red.shift > 0:
+        assert k * tail_den * base**shift == (pre_value * tail_den + tail_num) * m
+        assert pre_value < base**shift
+        if shift > 0:
             # shift is minimal
-            assert (base ** (red.shift - 1) * k * red.tail_denominator) % m != 0
+            assert (base ** (shift - 1) * k * tail_den) % m != 0
 
 
 def _exp(num, den, base):

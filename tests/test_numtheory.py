@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from radixgraph.errors import CapacityError, NotAUnitError, UndefinedInputError, ValidationError
+from radixgraph.errors import CapacityError, UndefinedInputError
 from radixgraph.graph import GraphParams, census
-from radixgraph.numtheory import FACTORIZATION_CAP, factorize, mod_inverse
+from radixgraph.numtheory import FACTORIZATION_CAP, factorize
 
 
 @pytest.mark.parametrize(
@@ -69,7 +69,7 @@ def _rows_of_modulus(n):
 
 
 def _order_row(b, d):
-    n = mod_inverse(b, d) or 1
+    n = pow(b, -1, d) or 1
     (row,) = [r for r in census(GraphParams(b, n)) if r.d == d]
     return row
 
@@ -124,27 +124,3 @@ def test_mult_order_law_and_minimality(b, d):
         acc = acc * b % d
         expect += 1
     assert t == expect
-
-
-@pytest.mark.parametrize(
-    "b,d,want",
-    [(10, 39, 4), (12, 35, 3), (10, 7, 5), (3, 2, 1), (1, 7, 1), (1, 2, 1), (1, 10**6, 1)],
-)
-def test_mod_inverse_examples(b, d, want):
-    assert mod_inverse(b, d) == want
-
-
-def test_mod_inverse_rejects_nonunit():
-    with pytest.raises(NotAUnitError):
-        mod_inverse(10, 35)
-    with pytest.raises(ValidationError):
-        mod_inverse(10, 0)
-
-
-@given(st.integers(2, 10**6), st.integers(1, 10**6))
-def test_mod_inverse_law(b, d):
-    if math.gcd(b, d) != 1:
-        return
-    inv = mod_inverse(b, d)
-    assert 0 <= inv < d
-    assert b * inv % d == 1 % d
