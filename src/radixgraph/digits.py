@@ -25,11 +25,11 @@ class DigitString:
 
     def __post_init__(self) -> None:
         if self.base < 2:
-            raise ValidationError(f"base must be >= 2, got {self.base}")
+            raise ValidationError(f"base must be >= 2, got {decimal_str(self.base)}")
         digits = self.digits
         if digits and (min(digits) < 0 or max(digits) >= self.base):
             bad = next(d for d in digits if not 0 <= d < self.base)
-            raise ValidationError(f"digit {bad} out of range for base {self.base}")
+            raise ValidationError(f"digit {decimal_str(bad)} out of range for base {decimal_str(self.base)}")
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -72,9 +72,9 @@ def decimal_str(x: int) -> str:
 def rightmost_digit(x: int, base: int) -> int:
     """Last base-B digit of a nonnegative integer, i.e. x mod B."""
     if base < 2:
-        raise ValidationError(f"base must be >= 2, got {base}")
+        raise ValidationError(f"base must be >= 2, got {decimal_str(base)}")
     if x < 0:
-        raise ValidationError(f"expected a nonnegative integer, got {x}")
+        raise ValidationError(f"expected a nonnegative integer, got {decimal_str(x)}")
     return x % base
 
 
@@ -84,11 +84,11 @@ def to_digit_string(x: int, base: int, min_width: int = 0) -> DigitString:
     x = 0 with min_width = 0 yields the single digit 0, never an empty string.
     """
     if base < 2:
-        raise ValidationError(f"base must be >= 2, got {base}")
+        raise ValidationError(f"base must be >= 2, got {decimal_str(base)}")
     if x < 0:
-        raise ValidationError(f"expected a nonnegative integer, got {x}")
+        raise ValidationError(f"expected a nonnegative integer, got {decimal_str(x)}")
     if min_width < 0:
-        raise ValidationError(f"min_width must be >= 0, got {min_width}")
+        raise ValidationError(f"min_width must be >= 0, got {decimal_str(min_width)}")
     digits = []
     while x:
         x, d = divmod(x, base)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import chain
 
 from .digits import decimal_str, digit_symbols, to_digit_string
 from .errors import ValidationError
@@ -49,8 +50,8 @@ def format_expansion(x: RadixExpansion, ascii_style: bool = False) -> str:
 def _table(headers: list[str], columns: list[list[str]]) -> str:
     """Right-aligned columns under their headers, joined by " | "."""
     widths = [max(len(h), max(map(len, col), default=0)) for h, col in zip(headers, columns)]
-    fmt = " | ".join(f"%{w}s" for w in widths)
-    return "\n".join([fmt % tuple(headers), *map(fmt.__mod__, zip(*columns))]) + "\n"
+    fmt = " | ".join(f"%{w}s" for w in widths) + "\n"
+    return fmt % tuple(headers) + (fmt * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def census_table(graph_census: list, base: int) -> str:

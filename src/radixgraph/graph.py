@@ -30,9 +30,9 @@ class GraphParams:
 
     def __post_init__(self) -> None:
         if self.base < 2:
-            raise ValidationError(f"base must be >= 2, got {self.base}")
+            raise ValidationError(f"base must be >= 2, got {decimal_str(self.base)}")
         if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
+            raise ValidationError(f"n must be >= 1, got {decimal_str(self.n)}")
 
     @property
     def modulus(self) -> int:
@@ -64,10 +64,13 @@ class FunctionalGraph:
     cycles: tuple[tuple[int, ...], ...]
 
 
-def _check_vertex(params: GraphParams, x: int) -> None:
-    if not 0 <= x < params.modulus:
-        x, m, base, n = map(decimal_str, (x, params.modulus, params.base, params.n))
+def _check_vertex(params: GraphParams, x: int) -> int:
+    """The modulus, once x is checked to be a vertex of the graph."""
+    m = params.modulus
+    if not 0 <= x < m:
+        x, m, base, n = map(decimal_str, (x, m, params.base, params.n))
         raise ValidationError(f"vertex {x} out of range [0, {m}) for base {base}, n {n}")
+    return m
 
 
 def step(params: GraphParams, x: int) -> int:
@@ -80,7 +83,7 @@ def iterate(params: GraphParams, x: int, i: int) -> int:
     """i-fold application of step, via modular exponentiation."""
     _check_vertex(params, x)
     if i < 0:
-        raise ValidationError(f"iteration count must be >= 0, got {i}")
+        raise ValidationError(f"iteration count must be >= 0, got {decimal_str(i)}")
     return pow(params.base, i, params.modulus) * x % params.modulus
 
 

@@ -50,7 +50,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     Returns (prime, exponent) pairs, ascending by prime; empty for 1.
     """
     if n < 1:
-        raise UndefinedInputError(f"factorize expects a positive integer, got {n}")
+        raise UndefinedInputError(f"factorize expects a positive integer, got {decimal_str(n)}")
     if n > FACTORIZATION_CAP:
         raise CapacityError(f"refusing to factor {decimal_str(n)} > cap {FACTORIZATION_CAP}")
     return _trial_division(n)

@@ -70,6 +70,41 @@ def test_expand_trace_walks_the_period_once(capsys, monkeypatch):
     assert len(out.splitlines()) == 3 + 1 + 10068
 
 
+@pytest.mark.parametrize(
+    "argv,walks",
+    [
+        # 2 and 12 have order 62980 mod the prime 62981; in base 12 the
+        # digits need the walk, as no conversion writes them
+        (("expand", "1/62981", "--base", "2"), 0),
+        (("expand", "1/62981", "--base", "2", "--trace"), 1),
+        (("expand", "1/62981", "--base", "12"), 1),
+        (("expand", "1/62981", "--base", "12", "--trace"), 1),
+        (("trace", "1", "31491", "--base", "2"), 1),
+        (("trace", "1", "31491", "--base", "2", "--reverse"), 1),
+    ],
+)
+def test_a_long_period_is_walked_only_when_its_remainders_are_read(capsys, monkeypatch, argv, walks):
+    calls = []
+    real_walk = expansion._walk
+
+    def counting_walk(*args):
+        calls.append(args)
+        return real_walk(*args)
+
+    monkeypatch.setattr(expansion, "_walk", counting_walk)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == walks
+    if argv[0] == "expand":
+        base = int(argv[3])
+        want = format_expansion(long_division_oracle(Fraction(1, 62981), base))
+        assert out.splitlines()[0] == want
+    if "--trace" in argv or argv[0] == "trace":
+        # one table row per stop of the one walk, whose last argument is its length
+        head = {"expand": 4, "trace": 1}[argv[0]] + ("--reverse" in argv)
+        assert len(out.splitlines()) == head + calls[0][-1]
+
+
 def test_expand_trace_terminating(capsys):
     code, out, _ = run(capsys, "expand", "1/4", "--trace")
     assert code == 0

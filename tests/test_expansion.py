@@ -1,15 +1,18 @@
 import math
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import n_order
 
-from radixgraph.digits import DigitString
+from radixgraph.digits import DigitString, decimal_str
 from radixgraph import expansion
 from radixgraph.errors import CapacityError, NotAUnitError, ValidationError, ZeroDenominatorError
 from radixgraph.expansion import (
     PERIOD_CAP,
     Fraction,
+    PeriodTrace,
     RadixExpansion,
     expand,
     factor_out_base,
@@ -20,7 +23,7 @@ from radixgraph.expansion import (
     run_oracle_sweep,
     value_of,
 )
-from radixgraph.graph import GraphParams, census, step
+from radixgraph.graph import GraphParams, build_graph, census, step
 
 
 def test_fraction_validation():
@@ -30,6 +33,26 @@ def test_fraction_validation():
         Fraction(-1, 2)
     with pytest.raises(ValidationError):
         Fraction(1, -2)
+
+
+def test_validation_messages_write_ints_over_4300_digits():
+    # str() refuses ints of more than 4300 digits; each message still names the int
+    huge = -(10**5000)
+    for call in (
+        lambda: Fraction(huge, 3),
+        lambda: Fraction(1, huge),
+        lambda: GraphParams(huge, 1),
+        lambda: GraphParams(10, huge),
+        lambda: expand(Fraction(1, 3), huge),
+        lambda: long_division_oracle(Fraction(1, 3), huge),
+        lambda: reduce_coprime(1, -huge, 10),
+        lambda: reduce_coprime(1, 3, huge),
+        lambda: factor_out_base(-huge, 3, 10),
+        lambda: factor_out_base(1, 3, huge),
+        lambda: run_oracle_sweep(huge),
+    ):
+        with pytest.raises(ValidationError, match="0" * 4400):
+            call()
 
 
 def test_fraction_reduced():
@@ -104,6 +127,67 @@ def test_long_period_walks_match_oracle():
     assert len(want) == 10068
     assert period_digits(3, p).digits == want
     assert tuple(reversed(period_digits_reversed(3, p).digits)) == want
+
+
+@pytest.mark.parametrize("base", [2, 8, 10, 16])
+def test_converted_digits_equal_the_walk_on_every_vertex(base):
+    # every vertex of every graph with M <= 2000: the walk's digits, read
+    # off the materialized cycle, against the one-conversion period block
+    n = 1
+    while base * n - 1 <= 2000:
+        p = GraphParams(base, n)
+        for cyc in build_graph(p).cycles:
+            length = len(cyc)
+            walked = bytes(v % base for v in cyc) * 2
+            for i, v in enumerate(cyc):
+                assert expansion._period_block(v, base, p.modulus, length) == walked[i + 1 : i + 1 + length]
+        n += 1
+
+
+@pytest.mark.parametrize("length", [4300, 4301])
+def test_base10_digits_on_both_sides_of_the_str_limit(length):
+    # M = 10^L - 1: k/M = 0.(k written in L digits), and str() writes at
+    # most 4300 digits, so the longer period is read off the walk
+    p = GraphParams(10, 10 ** (length - 1))
+    k = p.modulus - 3**5000
+    assert len(decimal_str(k)) == length
+    for walk in (period_digits, period_digits_reversed):
+        t = walk(k, p)
+        assert len(t) == length and t.stops is None
+        want = tuple(map(int, decimal_str(k).zfill(length)))
+        assert t.digits == (want[::-1] if t.right_to_left else want)
+        assert t.digits == tuple(r % 10 for r in t.remainders)
+
+
+@pytest.mark.parametrize("max_str_digits", [0, 1000])
+def test_base10_digits_follow_the_interpreters_str_limit(max_str_digits):
+    # a 3000-digit period, with str() unlimited and with str() refusing it
+    p = GraphParams(10, 10**2999)
+    k = p.modulus - 3**5000 % p.modulus
+    want = tuple(map(int, decimal_str(k).zfill(3000)))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(max_str_digits)
+    try:
+        assert period_digits(k, p).digits == want
+        assert period_digits_reversed(k, p).digits == want[::-1]
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_period_trace_holds_stops_only_when_walked():
+    p = GraphParams(2, 1000003)  # M = 2000005, the cycle of 1 has 342852 stops
+    t = period_digits(1, p)
+    assert len(t) == 342852 and t.stops is None
+    assert t.digits[:20] == long_division_oracle(Fraction(1, p.modulus), 2).period.digits[:20]
+    assert t.stops is None
+    assert t.remainders[-1] == 1 and t.stops is t.remainders
+    assert t == PeriodTrace(p, 1, 342852)
+    short = period_digits(1, GraphParams(10, 4))
+    assert short.stops == (10, 22, 25, 16, 4, 1)
+    # 2 has order 36 mod 37 and 66 mod 67, both above sqrt(M): in the
+    # conversion bases a cycle is walked outright up to _SHORT_CYCLE stops
+    assert len(period_digits(1, GraphParams(2, 19)).stops) == 36
+    assert period_digits(1, GraphParams(2, 34)).stops is None
 
 
 @st.composite
@@ -337,6 +421,18 @@ def test_expand_leading_zero_preperiod():
 def test_expand_unreduced_input():
     assert _exp(2, 10, 10).preperiod.digits == (2,)
     assert _exp(14, 40, 12) == _exp(7, 20, 12)
+
+
+def test_integer_part_above_the_preperiod_cap_is_refused():
+    bits = expansion.PREPERIOD_BITS
+    # at the cap, in base 2^16, the integer part is 4096 digits of 2^16 - 1
+    x, _ = expand(Fraction(2**bits - 1, 1), 2**16)
+    assert x.integer_part.digits == (2**16 - 1,) * (bits // 16)
+    start = time.perf_counter()
+    for f in (Fraction(2**bits, 1), Fraction(2 ** (bits + 1), 1), Fraction(3 * 2 ** (bits + 1) + 1, 3)):
+        with pytest.raises(CapacityError, match=f"integer part of more than {bits} bits"):
+            expand(f, 3)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_expand_validates_base():
