@@ -7,10 +7,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import partial
 from itertools import chain
 
-from .digits import decimal_str, digit_symbols, to_digit_string
+from .digits import DIGIT_ALPHABET, decimal_str, digit_symbols
 from .errors import ValidationError
 from .expansion import PeriodTrace, RadixExpansion
 from .graph import FunctionalGraph, census
@@ -88,8 +87,9 @@ def trace_table(trace: PeriodTrace) -> str:
 def cycle_table(graph: FunctionalGraph, options: ExportOptions = ExportOptions()) -> str:
     """One row per cycle: index, length, vertices in successor order, labelled
     as in graph_to_dot; the highlighted vertex gets a trailing "*"."""
-    highlight = _checked_highlight(options, graph.params.modulus)
-    label = partial(_vertex_label, base=graph.params.base) if options.label_base == "base" else str
+    params = graph.params
+    highlight = _checked_highlight(options, params.modulus)
+    label = _vertex_labels(params.modulus, params.base).__getitem__ if options.label_base == "base" else str
     cycles = graph.cycles
     # _table right-aligns; the vertex lists are left-aligned, so they are
     # appended to its lines instead of passed as a third column
@@ -101,8 +101,22 @@ def cycle_table(graph: FunctionalGraph, options: ExportOptions = ExportOptions()
     return "".join(f"{line} | {v}\n" for line, v in zip(counts.splitlines(), vertices))
 
 
-def _vertex_label(v: int, base: int) -> str:
-    return to_digit_string(v, base).render()
+def _vertex_labels(m: int, base: int) -> list[str]:
+    """Labels of the vertices 0..m-1, each as to_digit_string(v, base).render()
+    writes it. The label of v >= base is the label of v // base followed by
+    the symbol of v % base, so the labels are built one power of base at a time."""
+    if base <= 36:
+        symbols, sep = list(DIGIT_ALPHABET[:base]), ""
+    else:
+        symbols, sep = list(map(str, range(base))), ","
+    labels = symbols[:m]
+    start = 1  # labels[start:] are the prefixes of the next power's labels
+    while len(labels) < m:
+        end = min(len(labels), -(-m // base))
+        labels += [head + sep + s for head in labels[start:end] for s in symbols]
+        start = end
+    del labels[m:]
+    return labels if base <= 36 else ["[" + s + "]" for s in labels]
 
 
 def _checked_highlight(options: ExportOptions, m: int) -> int | None:
@@ -123,32 +137,45 @@ def graph_to_dot(graph: FunctionalGraph, options: ExportOptions = ExportOptions(
     base = graph.params.base
     m = graph.params.modulus
     highlight = _checked_highlight(options, m)
-    lines = [f"digraph multiply_by_{base} {{"]
+    parts = [f"digraph multiply_by_{base} {{\n"]
     if options.label_base == "base":
-        for v in range(m):
-            lines.append(f'  {v} [label="{_vertex_label(v, base)}"];')
+        pairs = chain.from_iterable(enumerate(_vertex_labels(m, base)))
+        parts.append(('  %d [label="%s"];\n' * m) % tuple(pairs))
     if highlight is not None:
-        lines.append(f"  {highlight} [style=bold];")
-    for cyc in graph.cycles:
-        for i, v in enumerate(cyc):
-            lines.append(f"  {v} -> {cyc[(i + 1) % len(cyc)]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        parts.append(f"  {highlight} [style=bold];\n")
+    heads = chain.from_iterable(graph.cycles)
+    tails = chain.from_iterable(c[1:] + c[:1] for c in graph.cycles)
+    parts.append(("  %d -> %d;\n" * m) % tuple(chain.from_iterable(zip(heads, tails))))
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def graph_to_json(graph: FunctionalGraph, options: ExportOptions = ExportOptions()) -> str:
-    """Versioned JSON document with params, cycles and the analytic census."""
+    """Versioned JSON document with params, cycles and the analytic census.
+
+    The text is json.dumps(document, indent=2) byte for byte. The cycles and
+    the labels, which grow with the graph, are written by joins; the other
+    fields go through the encoder, indented one level.
+    """
     params = graph.params
-    highlight = _checked_highlight(options, params.modulus)
-    payload: dict = {
-        "schema": 1,
-        "params": {"base": params.base, "n": params.n},
-        "modulus": params.modulus,
-        "cycles": [list(c) for c in graph.cycles],
-        "census": [asdict(r) for r in census(params)],
+    m = params.modulus
+    highlight = _checked_highlight(options, m)
+    cycles = "\n    ],\n    [\n      ".join(",\n      ".join(map(str, c)) for c in graph.cycles)
+    fields = {
+        "schema": _json_field(1),
+        "params": _json_field({"base": params.base, "n": params.n}),
+        "modulus": _json_field(m),
+        "cycles": "[\n    [\n      " + cycles + "\n    ]\n  ]",
+        "census": _json_field([asdict(r) for r in census(params)]),
     }
     if options.label_base == "base":
-        payload["labels"] = {str(v): _vertex_label(v, params.base) for v in range(params.modulus)}
+        pairs = chain.from_iterable(enumerate(_vertex_labels(m, params.base)))
+        fields["labels"] = "{\n    " + ",\n    ".join(['"%d": "%s"'] * m) % tuple(pairs) + "\n  }"
     if highlight is not None:
-        payload["highlight"] = highlight
-    return json.dumps(payload, indent=2) + "\n"
+        fields["highlight"] = _json_field(highlight)
+    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields.items()) + "\n}\n"
+
+
+def _json_field(value) -> str:
+    """value as json.dumps(value, indent=2) writes it one level down."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")

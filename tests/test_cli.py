@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -406,6 +407,31 @@ def test_capacity_exit_code(capsys):
     code, _, err = run(capsys, "graph", "200000", "--base", "10")
     assert code == cli.EXIT_CAPACITY
     assert "error:" in err
+
+
+# SHA-256 of stdout of `graph 500000 --base 2 --labels base --format F`
+# (M = 999999, just under the materialization cap), computed on the code that
+# still labelled one vertex per to_digit_string call
+_AT_THE_CAP_DIGESTS = {
+    "dot": "8b00df78908733a953136fe86b1b8651232d86c98eaa0f66003c50551ba89baa",
+    "json": "b28e6a99be6ece529bff3e4dc73bc51e3b3eca557dfd6c71fc3b98b183834696",
+    "table": "c322b50f6500e377bd4c5fb83d6712922e411fe25e123fe212f3c4f082776183",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_AT_THE_CAP_DIGESTS))
+def test_graph_at_the_cap_is_bounded_and_unchanged(fmt):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    argv = ["graph", "500000", "--base", "2", "--labels", "base", "--format", fmt]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "radixgraph.cli", *argv],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    assert elapsed < 6, f"{fmt}: {elapsed:.1f} s"
+    assert hashlib.sha256(done.stdout).hexdigest() == _AT_THE_CAP_DIGESTS[fmt]
 
 
 def test_argparse_rejects_unknown_subcommand():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -13,7 +14,7 @@ from radixgraph.export import (
     graph_to_dot,
     graph_to_json,
 )
-from radixgraph.export import trace_table
+from radixgraph.export import _vertex_labels, trace_table
 from radixgraph.graph import GraphParams, build_graph, census
 
 
@@ -138,3 +139,69 @@ def test_json_options():
     assert doc["highlight"] == 7
     with pytest.raises(ValidationError):
         graph_to_json(g, ExportOptions(highlight=-1))
+
+
+@pytest.mark.parametrize("base", range(2, 71))
+def test_vertex_labels_equal_to_digit_string(base):
+    for m in sorted({1, 2, base - 1, base, base + 1, base**2 - 1, base**2, base**2 + 1, base**3 + 5} - {0}):
+        labels = _vertex_labels(m, base)
+        assert len(labels) == m
+        # every label of the first few thousand vertices, then a sample and the last base + 5
+        vs = sorted({*range(min(m, 3000)), *range(0, m, 997), *range(max(0, m - base - 5), m)})
+        assert [labels[v] for v in vs] == [to_digit_string(v, base).render() for v in vs], m
+
+
+# the graphs and options of the output digest, on which the fast renderers
+# are checked against the renderings they replaced
+_GRAPH_BASES = (2, 3, 8, 10, 12, 16, 37, 60)
+
+
+def _graphs_and_options():
+    for base in _GRAPH_BASES:
+        for n in range(1, 31):
+            g = build_graph(GraphParams(base, n))
+            m = g.params.modulus
+            for labels in ("decimal", "base"):
+                for highlight in (None, m // 2):
+                    yield g, ExportOptions(labels, highlight)
+
+
+def _reference_json(g, options):
+    params = g.params
+    payload = {
+        "schema": 1,
+        "params": {"base": params.base, "n": params.n},
+        "modulus": params.modulus,
+        "cycles": [list(c) for c in g.cycles],
+        "census": [asdict(r) for r in census(params)],
+    }
+    if options.label_base == "base":
+        payload["labels"] = {str(v): to_digit_string(v, params.base).render() for v in range(params.modulus)}
+    if options.highlight is not None:
+        payload["highlight"] = options.highlight
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _reference_dot(g, options):
+    base, m = g.params.base, g.params.modulus
+    lines = [f"digraph multiply_by_{base} {{"]
+    if options.label_base == "base":
+        for v in range(m):
+            lines.append(f'  {v} [label="{to_digit_string(v, base).render()}"];')
+    if options.highlight is not None:
+        lines.append(f"  {options.highlight} [style=bold];")
+    for cyc in g.cycles:
+        for i, v in enumerate(cyc):
+            lines.append(f"  {v} -> {cyc[(i + 1) % len(cyc)]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_json_equals_the_encoder():
+    for g, options in _graphs_and_options():
+        assert graph_to_json(g, options) == _reference_json(g, options), (g.params, options)
+
+
+def test_dot_equals_one_line_per_statement():
+    for g, options in _graphs_and_options():
+        assert graph_to_dot(g, options) == _reference_dot(g, options), (g.params, options)

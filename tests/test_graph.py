@@ -235,3 +235,15 @@ def test_census_phi_sum(base, n):
     assert sum(r.phi for r in rows) == p.modulus
     assert [r.phi for r in rows] == [totient(r.d) for r in rows]
     assert all(r.phi == r.cycle_count * r.cycle_length for r in rows)
+
+
+@pytest.mark.parametrize("base", range(2, 41))
+def test_build_graph_successor_and_cycles_follow_step(base):
+    for n in range(1, 51):
+        p = GraphParams(base, n)
+        g = build_graph(p)
+        m = p.modulus
+        assert g.successor == tuple(base * x % m for x in range(m))
+        for c in g.cycles:
+            assert [step(p, v) for v in c] == [*c[1:], c[0]]
+        assert sorted(v for c in g.cycles for v in c) == list(range(m))
