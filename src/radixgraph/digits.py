@@ -7,8 +7,7 @@ back to a bracketed decimal list like [0,31,15].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import ValidationError
 
 DIGIT_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -16,20 +15,19 @@ DIGIT_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 _ALPHABET_TABLE = bytes.maketrans(bytes(range(len(DIGIT_ALPHABET))), DIGIT_ALPHABET.encode("ascii"))
 
 
-@dataclass(frozen=True)
-class DigitString:
+class DigitString(Record):
     """An ordered digit sequence in a fixed base, most significant first."""
 
-    base: int
-    digits: tuple[int, ...]
+    __slots__ = ("base", "digits")
 
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValidationError(f"base must be >= 2, got {decimal_str(self.base)}")
-        digits = self.digits
-        if digits and (min(digits) < 0 or max(digits) >= self.base):
-            bad = next(d for d in digits if not 0 <= d < self.base)
-            raise ValidationError(f"digit {decimal_str(bad)} out of range for base {decimal_str(self.base)}")
+    def __init__(self, base: int, digits: tuple[int, ...]) -> None:
+        if base < 2:
+            raise ValidationError(f"base must be >= 2, got {decimal_str(base)}")
+        if digits and (min(digits) < 0 or max(digits) >= base):
+            bad = next(d for d in digits if not 0 <= d < base)
+            raise ValidationError(f"digit {decimal_str(bad)} out of range for base {decimal_str(base)}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "digits", digits)
 
     def __len__(self) -> int:
         return len(self.digits)

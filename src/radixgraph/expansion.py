@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import mod
 
+from ._record import Record
 from .digits import DigitString, _valid_digit_string, decimal_str, to_digit_string, from_digit_string
 from .errors import CapacityError, NotAUnitError, ValidationError, ZeroDenominatorError
 from .graph import GraphParams, _check_vertex
@@ -65,21 +65,21 @@ _max_str_digits = getattr(sys, "get_int_max_str_digits", int)
 _DIGIT_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
-@dataclass(frozen=True)
-class Fraction:
+class Fraction(Record):
     """A nonnegative fraction, not necessarily in lowest terms."""
 
-    numerator: int
-    denominator: int
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self) -> None:
-        if self.denominator == 0:
-            raise ZeroDenominatorError(f"{decimal_str(self.numerator)}/0 is not a fraction")
-        if self.numerator < 0 or self.denominator < 0:
+    def __init__(self, numerator: int, denominator: int) -> None:
+        if denominator == 0:
+            raise ZeroDenominatorError(f"{decimal_str(numerator)}/0 is not a fraction")
+        if numerator < 0 or denominator < 0:
             raise ValidationError(
                 "expected nonnegative numerator and denominator,"
-                f" got {decimal_str(self.numerator)}/{decimal_str(self.denominator)}"
+                f" got {decimal_str(numerator)}/{decimal_str(denominator)}"
             )
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     def reduced(self) -> "Fraction":
         g = math.gcd(self.numerator, self.denominator)
@@ -89,8 +89,7 @@ class Fraction:
         return f"{self.numerator}/{self.denominator}"
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(Record):
     """Intermediate quantities produced while reducing a fraction.
 
     shift is the number of digits the point moves (the preperiod length),
@@ -102,46 +101,77 @@ class ReductionTrace:
     graph mod that modulus; period_trace is that walk.
     """
 
-    shift: int
-    integer_part: int
-    preperiod_value: int
-    tail_numerator: int
-    tail_denominator: int
-    multiplier: int | None = None
-    graph_n: int | None = None
-    period_trace: PeriodTrace | None = None
+    __slots__ = (
+        "shift",
+        "integer_part",
+        "preperiod_value",
+        "tail_numerator",
+        "tail_denominator",
+        "multiplier",
+        "graph_n",
+        "period_trace",
+    )
+
+    def __init__(
+        self,
+        shift: int,
+        integer_part: int,
+        preperiod_value: int,
+        tail_numerator: int,
+        tail_denominator: int,
+        multiplier: int | None = None,
+        graph_n: int | None = None,
+        period_trace: PeriodTrace | None = None,
+    ) -> None:
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "integer_part", integer_part)
+        object.__setattr__(self, "preperiod_value", preperiod_value)
+        object.__setattr__(self, "tail_numerator", tail_numerator)
+        object.__setattr__(self, "tail_denominator", tail_denominator)
+        object.__setattr__(self, "multiplier", multiplier)
+        object.__setattr__(self, "graph_n", graph_n)
+        object.__setattr__(self, "period_trace", period_trace)
 
 
-@dataclass(frozen=True)
-class RadixExpansion:
+class RadixExpansion(Record):
     """Positional expansion integer_part . preperiod (period repeating)."""
 
-    base: int
-    integer_part: DigitString
-    preperiod: DigitString
-    period: DigitString
+    __slots__ = ("base", "integer_part", "preperiod", "period")
 
-    def __post_init__(self) -> None:
-        for part in (self.integer_part, self.preperiod, self.period):
-            if part.base != self.base:
-                raise ValidationError(
-                    f"component base {decimal_str(part.base)} != expansion base {decimal_str(self.base)}"
-                )
+    def __init__(self, base: int, integer_part: DigitString, preperiod: DigitString, period: DigitString) -> None:
+        for part in (integer_part, preperiod, period):
+            if part.base != base:
+                raise ValidationError(f"component base {decimal_str(part.base)} != expansion base {decimal_str(base)}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "integer_part", integer_part)
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
 
 
-@dataclass(frozen=True)
-class PeriodTrace:
+class PeriodTrace(Record):
     """The cycle of vertex `start`, `length` stops long, as a view: its
     remainders are walked on first access and then kept in `stops`, unless
     the walk that found the length already holds them. `digits` are each
     remainder mod B, in bases 2, 8, 16 (and 10 within str()'s limit) read in
-    one conversion of the period block instead."""
+    one conversion of the period block instead. `stops` is a cache, so it
+    takes no part in ==, hash, repr or pickling."""
 
-    params: GraphParams
-    start: int
-    length: int
-    right_to_left: bool = False
-    stops: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("params", "start", "length", "right_to_left", "stops")
+    _fields = ("params", "start", "length", "right_to_left")
+
+    def __init__(
+        self,
+        params: GraphParams,
+        start: int,
+        length: int,
+        right_to_left: bool = False,
+        stops: tuple[int, ...] | None = None,
+    ) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "right_to_left", right_to_left)
+        object.__setattr__(self, "stops", stops)
 
     @property
     def remainders(self) -> tuple[int, ...]:
@@ -172,7 +202,9 @@ def _period_block(k: int, base: int, m: int, length: int) -> bytes:
     """The period of k/m, `length` digits in a base of _FORMAT_CODES, one
     per byte. k/m = q/(base^length - 1), so it is q written in `length`
     digits, which format() does in C."""
-    q = k * (base**length - 1) // m
+    # base^length by a shift in bases 2, 8 and 16, which is faster than a power
+    power = base**length if base == 10 else 1 << (base.bit_length() - 1) * length
+    q = k * (power - 1) // m
     return format(q, _FORMAT_CODES[base]).zfill(length).encode("ascii").translate(_DIGIT_VALUES)
 
 
@@ -383,19 +415,25 @@ def value_of(x: RadixExpansion) -> Fraction:
     return Fraction(num // g, den // g)
 
 
-@dataclass(frozen=True)
-class SweepMismatch:
-    base: int
-    numerator: int
-    denominator: int
-    expanded: RadixExpansion
-    oracle: RadixExpansion
+class SweepMismatch(Record):
+    __slots__ = ("base", "numerator", "denominator", "expanded", "oracle")
+
+    def __init__(
+        self, base: int, numerator: int, denominator: int, expanded: RadixExpansion, oracle: RadixExpansion
+    ) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "expanded", expanded)
+        object.__setattr__(self, "oracle", oracle)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    cases: int
-    mismatch: SweepMismatch | None
+class SweepResult(Record):
+    __slots__ = ("cases", "mismatch")
+
+    def __init__(self, cases: int, mismatch: SweepMismatch | None) -> None:
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "mismatch", mismatch)
 
     @property
     def ok(self) -> bool:

@@ -5,26 +5,27 @@ All output here is deterministic: same input, byte-identical text.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
 from itertools import chain
 
+from ._record import Record
 from .digits import DIGIT_ALPHABET, decimal_str, digit_symbols
 from .errors import ValidationError
 from .expansion import PeriodTrace, RadixExpansion
 from .graph import FunctionalGraph, census
 
 
-@dataclass(frozen=True)
-class ExportOptions:
+class ExportOptions(Record):
     """Rendering knobs for graph exports.
 
     label_base: "decimal" keeps vertex labels as plain integers, "base"
     renders them as base-B digit strings; highlight singles out one vertex.
     """
 
-    label_base: str = "decimal"
-    highlight: int | None = None
+    __slots__ = ("label_base", "highlight")
+
+    def __init__(self, label_base: str = "decimal", highlight: int | None = None) -> None:
+        object.__setattr__(self, "label_base", label_base)
+        object.__setattr__(self, "highlight", highlight)
 
 
 def format_expansion(x: RadixExpansion, ascii_style: bool = False) -> str:
@@ -161,12 +162,16 @@ def graph_to_json(graph: FunctionalGraph, options: ExportOptions = ExportOptions
     m = params.modulus
     highlight = _checked_highlight(options, m)
     cycles = "\n    ],\n    [\n      ".join(",\n      ".join(map(str, c)) for c in graph.cycles)
+    rows = [
+        {"d": r.d, "order": r.order, "phi": r.phi, "cycle_count": r.cycle_count, "cycle_length": r.cycle_length}
+        for r in census(params)
+    ]
     fields = {
         "schema": _json_field(1),
         "params": _json_field({"base": params.base, "n": params.n}),
         "modulus": _json_field(m),
         "cycles": "[\n    [\n      " + cycles + "\n    ]\n  ]",
-        "census": _json_field([asdict(r) for r in census(params)]),
+        "census": _json_field(rows),
     }
     if options.label_base == "base":
         pairs = chain.from_iterable(enumerate(_vertex_labels(m, params.base)))
@@ -178,4 +183,6 @@ def graph_to_json(graph: FunctionalGraph, options: ExportOptions = ExportOptions
 
 def _json_field(value) -> str:
     """value as json.dumps(value, indent=2) writes it one level down."""
+    import json  # here, as importing it adds 3 ms to every start-up
+
     return json.dumps(value, indent=2).replace("\n", "\n  ")

@@ -11,9 +11,9 @@ length ord_d(B).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 
+from ._record import Record
 from .digits import decimal_str
 from .errors import CapacityError, ValidationError
 from .numtheory import factorize
@@ -23,37 +23,38 @@ from .numtheory import factorize
 MATERIALIZATION_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class GraphParams:
+class GraphParams(Record):
     """Base B >= 2 and multiplier n >= 1; the modulus is M = B*n - 1."""
 
-    base: int
-    n: int
+    __slots__ = ("base", "n")
 
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValidationError(f"base must be >= 2, got {decimal_str(self.base)}")
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {decimal_str(self.n)}")
+    def __init__(self, base: int, n: int) -> None:
+        if base < 2:
+            raise ValidationError(f"base must be >= 2, got {decimal_str(base)}")
+        if n < 1:
+            raise ValidationError(f"n must be >= 1, got {decimal_str(n)}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "n", n)
 
     @property
     def modulus(self) -> int:
         return self.base * self.n - 1
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(Record):
     """Cycle census entry for one divisor d of the modulus."""
 
-    d: int
-    order: int
-    phi: int
-    cycle_count: int
-    cycle_length: int
+    __slots__ = ("d", "order", "phi", "cycle_count", "cycle_length")
+
+    def __init__(self, d: int, order: int, phi: int, cycle_count: int, cycle_length: int) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "cycle_count", cycle_count)
+        object.__setattr__(self, "cycle_length", cycle_length)
 
 
-@dataclass(frozen=True)
-class FunctionalGraph:
+class FunctionalGraph(Record):
     """Materialized successor map plus the cycle decomposition.
 
     Cycles are canonical: each starts at its smallest vertex and the list is
@@ -61,9 +62,12 @@ class FunctionalGraph:
     equal component by component.
     """
 
-    params: GraphParams
-    successor: tuple[int, ...]
-    cycles: tuple[tuple[int, ...], ...]
+    __slots__ = ("params", "successor", "cycles")
+
+    def __init__(self, params: GraphParams, successor: tuple[int, ...], cycles: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "successor", successor)
+        object.__setattr__(self, "cycles", cycles)
 
 
 def _check_vertex(params: GraphParams, x: int) -> int:

@@ -3,7 +3,7 @@
 factorize is the one place that checks the cap; graph.census derives divisors,
 totients and orders from the factorizations it returns. The cap bounds time only
 loosely: a prime just under it is the worst case, and `census 461168601842738771`
-(M = 4611686018427387709) takes 182.6 s (2-vCPU VM; ROADMAP item 2).
+(M = 4611686018427387709) takes 182.6 s (2-vCPU VM; ROADMAP item 1).
 """
 
 from __future__ import annotations

@@ -434,6 +434,19 @@ def test_graph_at_the_cap_is_bounded_and_unchanged(fmt):
     assert hashlib.sha256(done.stdout).hexdigest() == _AT_THE_CAP_DIGESTS[fmt]
 
 
+def test_cold_import_loads_no_dataclasses_or_json():
+    # every CLI call pays for what importing the package loads: dataclasses
+    # (with inspect) and json are loaded only where they are used
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import sys, radixgraph.cli; print(*sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
+
+
 def test_argparse_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

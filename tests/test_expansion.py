@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 import time
 
@@ -14,6 +16,9 @@ from radixgraph.expansion import (
     Fraction,
     PeriodTrace,
     RadixExpansion,
+    ReductionTrace,
+    SweepMismatch,
+    SweepResult,
     expand,
     factor_out_base,
     long_division_oracle,
@@ -23,7 +28,8 @@ from radixgraph.expansion import (
     run_oracle_sweep,
     value_of,
 )
-from radixgraph.graph import GraphParams, build_graph, census, step
+from radixgraph.export import ExportOptions
+from radixgraph.graph import CensusRow, FunctionalGraph, GraphParams, build_graph, census, step
 
 
 def test_fraction_validation():
@@ -509,3 +515,75 @@ def test_sweep_smoke():
 def test_sweep_validates():
     with pytest.raises(ValidationError):
         run_oracle_sweep(0, (10,))
+
+
+_DIGITS = DigitString(12, (2, 4, 9, 7))
+_TRACE = PeriodTrace(GraphParams(12, 3), 7, 4)
+_EXPANSION = RadixExpansion(12, DigitString(12, (0,)), DigitString(12, (4,)), _DIGITS)
+# each record type with its fields, by name, in constructor order
+_RECORDS = [
+    (DigitString, {"base": 12, "digits": (2, 4, 9, 7)}),
+    (GraphParams, {"base": 12, "n": 3}),
+    (CensusRow, {"d": 35, "order": 12, "phi": 24, "cycle_count": 2, "cycle_length": 12}),
+    (FunctionalGraph, {"params": GraphParams(2, 2), "successor": (0, 2, 1), "cycles": ((0,), (1, 2))}),
+    (Fraction, {"numerator": 7, "denominator": 20}),
+    (
+        ReductionTrace,
+        {
+            "shift": 1,
+            "integer_part": 0,
+            "preperiod_value": 4,
+            "tail_numerator": 1,
+            "tail_denominator": 5,
+            "multiplier": 7,
+            "graph_n": 3,
+            "period_trace": _TRACE,
+        },
+    ),
+    (
+        RadixExpansion,
+        {"base": 12, "integer_part": DigitString(12, (0,)), "preperiod": DigitString(12, (4,)), "period": _DIGITS},
+    ),
+    (PeriodTrace, {"params": GraphParams(12, 3), "start": 7, "length": 4, "right_to_left": True}),
+    (SweepMismatch, {"base": 12, "numerator": 7, "denominator": 20, "expanded": _EXPANSION, "oracle": _EXPANSION}),
+    (SweepResult, {"cases": 3, "mismatch": None}),
+    (ExportOptions, {"label_base": "base", "highlight": 7}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", _RECORDS, ids=[cls.__name__ for cls, _ in _RECORDS])
+def test_records_are_immutable_values(cls, fields):
+    r = cls(**fields)
+    same = cls(*fields.values())
+    assert r == same and hash(r) == hash(same)
+    assert repr(r) == cls.__name__ + "(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+    for other, other_fields in _RECORDS:
+        if other is not cls:
+            assert r != other(**other_fields) and other(**other_fields) != r
+    assert r != tuple(fields.values())
+    for name in [*fields, "other"]:
+        with pytest.raises(AttributeError):
+            setattr(r, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+    assert r == same and [getattr(r, k) for k in fields] == list(fields.values())
+    for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+        assert type(twin) is cls and twin == r and hash(twin) == hash(r)
+
+
+def test_records_of_other_types_with_equal_fields_differ():
+    assert GraphParams(2, 3) != Fraction(2, 3)
+    assert Fraction(2, 3) != GraphParams(2, 3)
+    assert DigitString(2, (1,)) != GraphParams(2, 1)
+
+
+def test_period_trace_equality_hash_and_repr_ignore_stops():
+    p = GraphParams(12, 3)
+    walked = PeriodTrace(p, 7, 4, False, (14, 28, 21, 7))
+    view = PeriodTrace(p, 7, 4)
+    assert walked == view and hash(walked) == hash(view)
+    want = "PeriodTrace(params=GraphParams(base=12, n=3), start=7, length=4, right_to_left=False)"
+    assert repr(walked) == repr(view) == want
+    assert walked.stops == (14, 28, 21, 7) and view.stops is None
+    twin = pickle.loads(pickle.dumps(walked))
+    assert twin == walked and twin.remainders == walked.remainders

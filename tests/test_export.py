@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict
 
 import pytest
 
@@ -173,7 +172,10 @@ def _reference_json(g, options):
         "params": {"base": params.base, "n": params.n},
         "modulus": params.modulus,
         "cycles": [list(c) for c in g.cycles],
-        "census": [asdict(r) for r in census(params)],
+        "census": [
+            {"d": r.d, "order": r.order, "phi": r.phi, "cycle_count": r.cycle_count, "cycle_length": r.cycle_length}
+            for r in census(params)
+        ],
     }
     if options.label_base == "base":
         payload["labels"] = {str(v): to_digit_string(v, params.base).render() for v in range(params.modulus)}
