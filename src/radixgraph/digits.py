@@ -37,7 +37,10 @@ class DigitString(Record):
             return ""
         if self.base <= 36:
             return bytes(self.digits).translate(_ALPHABET_TABLE).decode("ascii")
-        return "[" + ",".join(map(str, self.digits)) + "]"
+        try:
+            return "[" + ",".join(map(str, self.digits)) + "]"
+        except ValueError:  # str() refuses ints over sys.get_int_max_str_digits() digits
+            return "[" + ",".join(map(decimal_str, self.digits)) + "]"
 
     def __str__(self) -> str:
         return self.render()
@@ -56,7 +59,10 @@ def digit_symbols(digits: tuple[int, ...], base: int) -> list[str]:
     renders it. The digits are not checked."""
     if base <= 36:
         return list(bytes(digits).translate(_ALPHABET_TABLE).decode("ascii"))
-    return [f"[{d}]" for d in digits]
+    try:
+        return [f"[{d}]" for d in digits]
+    except ValueError:  # str() refuses ints over sys.get_int_max_str_digits() digits
+        return [f"[{decimal_str(d)}]" for d in digits]
 
 
 def decimal_str(x: int) -> str:

@@ -42,7 +42,8 @@ from .graph import GraphParams, _check_vertex
 # A period longer than PERIOD_CAP digits is refused, or, as a walk stores one
 # int the size of M per stop, longer than PERIOD_BITS // M.bit_length()
 # digits. At 10^6 digits expand takes at most about 0.3 s and 70 MB, trace
-# with its table 2 s and 300 MB (2-vCPU x86 VM, Python 3.11).
+# with its table 1.5 s and 175 MB, for a cycle of 90-bit stops (2-vCPU x86 VM,
+# Python 3.11).
 PERIOD_CAP = 10**6
 PERIOD_BITS = 90 * PERIOD_CAP
 # factor_out_base refuses a shift with shift * B.bit_length() above this. Its
@@ -51,6 +52,12 @@ PERIOD_BITS = 90 * PERIOD_CAP
 # expand refuses an integer part of more bits, as writing it out costs the
 # same: 0.36 s at 2^16 bits in base 3.
 PREPERIOD_BITS = 2**16
+# run_oracle_sweep refuses more than SWEEP_CAP cases, len(bases) * (N^2 + 2N)
+# for denominators up to N. A case costs more as N grows: the 543,600 cases of
+# N = 300 in six bases take 26 s, the slowest sweep under the cap (one base,
+# N = 773) about 40 s in base 2 and at most 10% more in the other bases
+# measured (3 to 10^100), so every sweep under it ends within a minute.
+SWEEP_CAP = 600_000
 # Bases in which PeriodTrace.digits writes the period block in one C-level
 # conversion, with the format code of each. In base 10 that is str(), which
 # refuses more than sys.get_int_max_str_digits() digits (4300 by default, 0
@@ -443,9 +450,13 @@ class SweepResult(Record):
 def run_oracle_sweep(max_m: int, bases: tuple[int, ...] = (10,)) -> SweepResult:
     """Compare expand against the oracle for every base in `bases`,
     every m in [1, max_m] and every k in [0, 2m]. Stops at the first mismatch.
+    Refuses more than SWEEP_CAP cases before it runs the first.
     """
     if max_m < 1:
         raise ValidationError(f"max_m must be >= 1, got {decimal_str(max_m)}")
+    total = len(bases) * (max_m * max_m + 2 * max_m)
+    if total > SWEEP_CAP:
+        raise CapacityError(f"refusing to sweep {decimal_str(total)} cases: more than {SWEEP_CAP} (the sweep cap)")
     cases = 0
     for base in bases:
         for m in range(1, max_m + 1):

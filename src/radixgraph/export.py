@@ -40,46 +40,85 @@ def format_expansion(x: RadixExpansion, ascii_style: bool = False) -> str:
     per = x.period.render()
     if not pre and not per:
         return whole
+    try:
+        base = str(x.base)
+    except ValueError:  # str() refuses ints over sys.get_int_max_str_digits() digits
+        base = decimal_str(x.base)
     if ascii_style:
         body = f"{whole}.{pre}({per})" if per else f"{whole}.{pre}"
-        return f"{body}_{x.base}"
+        return f"{body}_{base}"
     body = f"{whole}.{pre}‾{per}" if per else f"{whole}.{pre}"
-    return f"{body} (base {x.base})"
+    return f"{body} (base {base})"
 
 
-def _table(headers: list[str], columns: list[list[str]]) -> str:
-    """Right-aligned columns under their headers, joined by " | "."""
-    widths = [max(len(h), max(map(len, col), default=0)) for h, col in zip(headers, columns)]
-    fmt = " | ".join(f"%{w}s" for w in widths) + "\n"
-    return fmt % tuple(headers) + (fmt * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+def _table(headers: list[str], columns: list) -> str:
+    """Right-aligned columns under their headers, joined by " | ".
+
+    A column is a nonempty sequence of nonnegative ints or of str cells. The
+    headers and the str cells must be ASCII, as long tables are assembled as
+    bytes. Written row by row a table costs a step per cell, written column
+    by column a step per character of a row, so a table of fewer rows than
+    its cells' widths sum to is one % over all its cells, row after row. A
+    longer one becomes one block of cells of one width per column (ints by a
+    single %d pass, str cells of one width by a join, others by a single %s
+    pass), and the blocks are copied into fixed-width rows one character
+    position at a time, by strided slice assignment."""
+    rows = len(columns[0])
+    cols, cell_widths, codes = [], [], []
+    for col in columns:
+        if isinstance(col[0], str):
+            w, code = max(map(len, col)), "s"
+        else:
+            try:
+                w, code = len(str(max(col))), "d"
+            except ValueError:  # str() refuses ints over sys.get_int_max_str_digits() digits
+                col = list(map(decimal_str, col))
+                w, code = max(map(len, col)), "s"
+        cols.append(col)
+        cell_widths.append(w)
+        codes.append(code)
+    widths = list(map(max, map(len, headers), cell_widths))
+    header = " | ".join(map(str.rjust, headers, widths)) + "\n"
+    if rows < sum(cell_widths):
+        fmt = " | ".join(map("%{}{}".format, widths, codes)) + "\n"
+        return header + (fmt * rows) % tuple(chain.from_iterable(zip(*cols)))
+    blank = b" | ".join(map(b" ".__mul__, widths)) + b"\n"
+    line = len(blank)
+    buf = bytearray(header, "ascii")
+    start = len(buf)
+    buf += blank * rows
+    for col, w, code, width in zip(cols, cell_widths, codes, widths):
+        if code == "d":
+            cells = (f"%{w}d" * rows).encode() % tuple(col)
+        else:
+            cells = "".join(col)
+            if len(cells) != w * rows:
+                cells = (f"%{w}s" * rows) % tuple(col)
+            cells = cells.encode("ascii")
+        start += width - w
+        for c in range(w):
+            buf[start + c :: line] = cells[c::w]
+        start += w + 3
+    return buf.decode("ascii")
 
 
 def census_table(graph_census: list, base: int) -> str:
     """Cycle census as an aligned ASCII table, one row per divisor of M."""
     headers = ["d", f"ord_d({base})", "phi(d)", f"phi(d)/ord_d({base})"]
     columns = [
-        [str(r.d) for r in graph_census],
-        [str(r.order) for r in graph_census],
-        [str(r.phi) for r in graph_census],
-        [str(r.cycle_count) for r in graph_census],
+        [r.d for r in graph_census],
+        [r.order for r in graph_census],
+        [r.phi for r in graph_census],
+        [r.cycle_count for r in graph_census],
     ]
     return _table(headers, columns)
 
 
 def trace_table(trace: PeriodTrace) -> str:
     """Remainder walk as an aligned table; notes reading order when reversed."""
-    headers = ["i", "remainder", "digit"]
     rems = trace.remainders
-    try:
-        rem_text = list(map(str, rems))
-    except ValueError:  # str() refuses ints over sys.get_int_max_str_digits() digits
-        rem_text = list(map(decimal_str, rems))
-    columns = [
-        list(map(str, range(1, len(rems) + 1))),
-        rem_text,
-        digit_symbols(trace.digits, trace.params.base),
-    ]
-    out = _table(headers, columns)
+    columns = [range(1, len(rems) + 1), rems, digit_symbols(trace.digits, trace.params.base)]
+    out = _table(["i", "remainder", "digit"], columns)
     if trace.right_to_left:
         out += "(digits read right to left)\n"
     return out
@@ -94,7 +133,7 @@ def cycle_table(graph: FunctionalGraph, options: ExportOptions = ExportOptions()
     cycles = graph.cycles
     # _table right-aligns; the vertex lists are left-aligned, so they are
     # appended to its lines instead of passed as a third column
-    counts = _table(["cycle", "length"], [list(map(str, range(len(cycles)))), [str(len(c)) for c in cycles]])
+    counts = _table(["cycle", "length"], [range(len(cycles)), list(map(len, cycles))])
     vertices = ["vertices", *(" ".join(map(label, c)) for c in cycles)]
     if highlight is not None:
         i = next(i for i, c in enumerate(cycles) if highlight in c)

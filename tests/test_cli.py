@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,8 @@ from radixgraph.export import format_expansion
 ROOT = Path(__file__).resolve().parents[1]
 # M = 10 * 461168601842738853 - 1 is just above the factorization cap
 ABOVE_CAP_N = "461168601842738853"
+# sweep N runs N^2 + 2N cases per base, which is above the sweep cap from this N on
+ABOVE_SWEEP_CAP_N = math.isqrt(expansion.SWEEP_CAP + 1)
 
 
 def run(capsys, *argv):
@@ -419,10 +422,10 @@ _AT_THE_CAP_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("fmt", sorted(_AT_THE_CAP_DIGESTS))
-def test_graph_at_the_cap_is_bounded_and_unchanged(fmt):
+def _sha256_of_a_bounded_call(*argv):
+    """SHA-256 of the stdout of `radixgraph argv` in a fresh interpreter,
+    which must exit 0 within 6 s."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    argv = ["graph", "500000", "--base", "2", "--labels", "base", "--format", fmt]
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "radixgraph.cli", *argv],
@@ -430,8 +433,35 @@ def test_graph_at_the_cap_is_bounded_and_unchanged(fmt):
     )
     elapsed = time.perf_counter() - start
     assert done.returncode == 0, done.stderr
-    assert elapsed < 6, f"{fmt}: {elapsed:.1f} s"
-    assert hashlib.sha256(done.stdout).hexdigest() == _AT_THE_CAP_DIGESTS[fmt]
+    assert elapsed < 6, f"{argv}: {elapsed:.1f} s"
+    return hashlib.sha256(done.stdout).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", sorted(_AT_THE_CAP_DIGESTS))
+def test_graph_at_the_cap_is_bounded_and_unchanged(fmt):
+    argv = ["graph", "500000", "--base", "2", "--labels", "base", "--format", fmt]
+    assert _sha256_of_a_bounded_call(*argv) == _AT_THE_CAP_DIGESTS[fmt]
+
+
+# SHA-256 of stdout of `trace 1 99975 --base 10` (M = 999749, where the cycle
+# of 1 is 999748 stops long, just under the period cap), forward and with
+# --reverse, computed on the code that wrote the table one cell at a time
+_TRACE_AT_THE_CAP_DIGESTS = {
+    "forward": "62aeb951aa26dac7da2790b254c1cc9da2e912b847cad93980447a180720ad7f",
+    "reverse": "bcd5185071c5bb547ae8ec4fdae2368b75cd4ebe367c3e1b92584f12f562122a",
+}
+
+
+@pytest.mark.parametrize("direction", sorted(_TRACE_AT_THE_CAP_DIGESTS))
+def test_trace_at_the_cap_is_bounded_and_unchanged(direction):
+    argv = ["trace", "1", "99975", "--base", "10", *["--reverse"] * (direction == "reverse")]
+    assert _sha256_of_a_bounded_call(*argv) == _TRACE_AT_THE_CAP_DIGESTS[direction]
+
+
+def test_sweep_above_its_cap_is_refused(capsys):
+    code, out, err = run(capsys, "sweep", str(ABOVE_SWEEP_CAP_N), "--bases", "10")
+    assert code == cli.EXIT_CAPACITY
+    assert out == "" and "the sweep cap" in err
 
 
 def test_cold_import_loads_no_dataclasses_or_json():
@@ -509,7 +539,9 @@ def _argv(draw):
         n = draw(st.one_of(_num(-2, 2000), st.just("600034")))
         return ["trace", draw(_num(-2, 10**4)), n, *base(n), *draw(st.lists(st.just("--reverse"), max_size=1))]
     if cmd == "sweep":
-        return ["sweep", draw(_num(-1, 6)), "--bases", draw(st.text("0123456789,x-", min_size=1, max_size=6))]
+        # a sweep just under its cap would run for a minute
+        n = draw(st.one_of(_num(-1, 6), _num(ABOVE_SWEEP_CAP_N, 10**7)))
+        return ["sweep", n, "--bases", draw(st.text("0123456789,x-", min_size=1, max_size=6))]
     words = ["expand", "census", "graph", "trace", "sweep", "--base", "7", "1/7", "-1", "x"]
     return draw(st.lists(st.sampled_from(words)))
 

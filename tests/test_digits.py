@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from radixgraph.digits import DigitString, from_digit_string, rightmost_digit, to_digit_string
+from radixgraph.digits import DigitString, digit_symbols, from_digit_string, rightmost_digit, to_digit_string
 from radixgraph.errors import ValidationError
 
 
@@ -71,6 +71,13 @@ def test_render_small_bases():
 def test_render_large_bases():
     assert DigitString(60, (0, 31, 15)).render() == "[0,31,15]"
     assert str(DigitString(60, (59,))) == "[59]"
+
+
+def test_digits_over_4300_digits_are_written_out():
+    # str() refuses ints of more than 4300 digits
+    big = 10**4400
+    assert DigitString(big + 1, (big, 7)).render() == "[1" + "0" * 4400 + ",7]"
+    assert digit_symbols((big, 7), big + 1) == ["[1" + "0" * 4400 + "]", "[7]"]
 
 
 @given(st.integers(0, 10**6), st.integers(2, 36), st.integers(0, 10))

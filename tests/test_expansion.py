@@ -13,6 +13,7 @@ from radixgraph import expansion
 from radixgraph.errors import CapacityError, NotAUnitError, ValidationError, ZeroDenominatorError
 from radixgraph.expansion import (
     PERIOD_CAP,
+    SWEEP_CAP,
     Fraction,
     PeriodTrace,
     RadixExpansion,
@@ -515,6 +516,15 @@ def test_sweep_smoke():
 def test_sweep_validates():
     with pytest.raises(ValidationError):
         run_oracle_sweep(0, (10,))
+
+
+def test_sweep_above_its_cap_is_refused_before_the_first_case(monkeypatch):
+    monkeypatch.setattr(expansion, "expand", None)  # a case that ran would raise TypeError
+    n = math.isqrt(SWEEP_CAP + 1)  # the least n with n^2 + 2n cases above the cap
+    assert (n - 1) ** 2 + 2 * (n - 1) <= SWEEP_CAP < n * n + 2 * n
+    for max_m, bases in ((n, (10,)), (n - 1, (10, 12)), (10**5000, (10,))):
+        with pytest.raises(CapacityError, match="the sweep cap"):
+            run_oracle_sweep(max_m, bases)
 
 
 _DIGITS = DigitString(12, (2, 4, 9, 7))

@@ -1,8 +1,10 @@
 import json
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from radixgraph.digits import to_digit_string
+from radixgraph.digits import decimal_str, to_digit_string
 from radixgraph.errors import ValidationError
 from radixgraph.expansion import Fraction, expand, period_digits, period_digits_reversed
 from radixgraph.export import (
@@ -13,7 +15,7 @@ from radixgraph.export import (
     graph_to_dot,
     graph_to_json,
 )
-from radixgraph.export import _vertex_labels, trace_table
+from radixgraph.export import _table, _vertex_labels, trace_table
 from radixgraph.graph import GraphParams, build_graph, census
 
 
@@ -72,6 +74,73 @@ def test_trace_table_large_base_digits_match_to_digit_string():
         assert len(rows) == len(trace)
         assert [r[2].lstrip() for r in rows] == [to_digit_string(d, 60).render() for d in trace.digits]
         assert any(r[2].lstrip() == "[59]" for r in rows)
+
+
+def test_text_of_a_base_over_4300_digits():
+    # str() refuses ints of more than 4300 digits; the base, the digits and
+    # the remainders are still written out in full
+    base = 10**4400 + 1
+    x, red = expand(Fraction(1, 3), base)
+    # base = 2 mod 3, so 1/3 repeats with period 2: the digits of (base^2 - 1)/3
+    d0, d1 = map(decimal_str, divmod((base * base - 1) // 3, base))
+    b = "1" + "0" * 4399 + "1"
+    assert format_expansion(x) == f"[0].‾[{d0},{d1}] (base {b})"
+    assert format_expansion(x, ascii_style=True) == f"[0].([{d0},{d1}])_{b}"
+    trace = red.period_trace
+    rows = [line.split(" | ") for line in trace_table(trace).splitlines()[1:]]
+    assert [r[1].lstrip() for r in rows] == list(map(decimal_str, trace.remainders))
+    assert [r[2].lstrip() for r in rows] == [f"[{d0}]", f"[{d1}]"]
+
+
+def _reference_table(headers, columns):
+    """The table writer _table replaced: every cell as a str, then one % over
+    all of them, row after row."""
+    columns = [[c if isinstance(c, str) else str(c) for c in col] for col in columns]
+    widths = [max(len(h), max(map(len, col), default=0)) for h, col in zip(headers, columns)]
+    fmt = " | ".join(f"%{w}s" for w in widths) + "\n"
+    return fmt % tuple(headers) + (fmt * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+
+
+_PRINTABLE = st.characters(min_codepoint=32, max_codepoint=126)
+
+
+@st.composite
+def _tables(draw):
+    """headers and columns as the table writers pass them: ints (lists,
+    tuples, ranges), str cells of one width (digit symbols), and str cells of
+    mixed widths (bracketed digits of bases over 36, or any ASCII text)."""
+    rows = draw(st.one_of(st.just(1), st.integers(1, 200)))
+
+    def cells(cell):
+        return st.lists(cell, min_size=rows, max_size=rows)
+
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["ints", "range", "one width", "bracketed", "mixed"]))
+        if kind == "ints":
+            col = draw(cells(st.integers(0, 10 ** draw(st.integers(0, 30)))))
+            col = draw(st.sampled_from([col, tuple(col)]))
+        elif kind == "range":
+            start = draw(st.integers(0, 10**8))
+            col = range(start, start + rows)
+        elif kind == "one width":
+            w = draw(st.integers(0, 3))
+            col = draw(cells(st.text(_PRINTABLE, min_size=w, max_size=w)))
+        elif kind == "bracketed":
+            base = draw(st.integers(37, 10**4))
+            col = [f"[{d}]" for d in draw(cells(st.integers(0, base - 1)))]
+        else:
+            col = draw(cells(st.text(_PRINTABLE, max_size=8)))
+        columns.append(col)
+    headers = draw(st.lists(st.text(_PRINTABLE, max_size=24), min_size=len(columns), max_size=len(columns)))
+    return headers, columns
+
+
+@given(_tables())
+@settings(max_examples=200, deadline=None)
+def test_table_equals_the_per_cell_writer(table):
+    headers, columns = table
+    assert _table(headers, columns) == _reference_table(headers, columns)
 
 
 def test_cycle_table():
