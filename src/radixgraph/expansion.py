@@ -18,9 +18,9 @@ it, a baby-step giant-step search over that prefix (_cycle_length), so
 nothing is factored. _trace refuses a length above the step limit; that is
 the one period-cap check. The PeriodTrace they return is a view of the
 cycle: _walk, the one remainder loop, runs when its remainders are first
-read, and in bases 2, 8, 16 (and 10, within str()'s 4300-digit limit) its
-digits are the period block k*(B^L - 1)/M written out by one C-level
-conversion, so expand walks nothing there.
+read. Since k/M = q/(B^L - 1) with q = k*(B^L - 1)/M, the period is also q
+written in L digits; where digits._converts says to_digit_string writes that
+in C, the digits come from that one conversion and expand walks nothing.
 
 long_division_oracle computes the same expansion by schoolbook remainder
 tracking and shares no code with the pipeline; run_oracle_sweep compares the
@@ -30,12 +30,11 @@ two over a grid of inputs.
 from __future__ import annotations
 
 import math
-import sys
 from itertools import repeat
 from operator import mod
 
 from ._record import Record
-from .digits import DigitString, _valid_digit_string, decimal_str, to_digit_string, from_digit_string
+from .digits import DigitString, _converts, _valid_digit_string, decimal_str, from_digit_string, to_digit_string
 from .errors import CapacityError, NotAUnitError, ValidationError, ZeroDenominatorError
 from .graph import GraphParams, _check_vertex
 
@@ -46,11 +45,10 @@ from .graph import GraphParams, _check_vertex
 # Python 3.11).
 PERIOD_CAP = 10**6
 PERIOD_BITS = 90 * PERIOD_CAP
-# factor_out_base refuses a shift with shift * B.bit_length() above this. Its
-# cost grows as the square of that product; at the cap base 3 is slowest, at
-# 0.45 s on the same VM, and in base 10 every 4300-digit denominator answers.
-# expand refuses an integer part of more bits, as writing it out costs the
-# same: 0.36 s at 2^16 bits in base 3.
+# factor_out_base refuses a shift with shift * B.bit_length() above this, and
+# expand an integer part of more bits. The strip loop costs about the square of
+# that product, 0.17-0.41 s at the cap (base 3 slowest, same VM); writing the
+# digits out under 1 ms in bases 2, 8 and 16, up to 0.33 s in base 3 (a loop).
 PREPERIOD_BITS = 2**16
 # run_oracle_sweep refuses more than SWEEP_CAP cases, len(bases) * (N^2 + 2N)
 # for denominators up to N. A case costs more as N grows: the 543,600 cases of
@@ -58,18 +56,10 @@ PREPERIOD_BITS = 2**16
 # N = 773) about 40 s in base 2 and at most 10% more in the other bases
 # measured (3 to 10^100), so every sweep under it ends within a minute.
 SWEEP_CAP = 600_000
-# Bases in which PeriodTrace.digits writes the period block in one C-level
-# conversion, with the format code of each. In base 10 that is str(), which
-# refuses more than sys.get_int_max_str_digits() digits (4300 by default, 0
-# for no limit; Python before 3.10.7 has no limit), so longer base-10
-# periods are read off the walk.
-_FORMAT_CODES = {2: "b", 8: "o", 10: "d", 16: "x"}
-# In those bases the length search walks at least this many steps (the
-# limit allowing): a cycle shorter than about 64 is walked faster than it is
+# Where digits._converts holds, the length search walks at least this many
+# steps (the limit allowing), as a shorter cycle is walked faster than it is
 # searched for and converted, measured with other work between the calls.
 _SHORT_CYCLE = 64
-_max_str_digits = getattr(sys, "get_int_max_str_digits", int)
-_DIGIT_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
 class Fraction(Record):
@@ -93,7 +83,7 @@ class Fraction(Record):
         return Fraction(self.numerator // g, self.denominator // g)
 
     def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator}"
+        return f"{decimal_str(self.numerator)}/{decimal_str(self.denominator)}"
 
 
 class ReductionTrace(Record):
@@ -159,8 +149,8 @@ class PeriodTrace(Record):
     """The cycle of vertex `start`, `length` stops long, as a view: its
     remainders are walked on first access and then kept in `stops`, unless
     the walk that found the length already holds them. `digits` are each
-    remainder mod B, in bases 2, 8, 16 (and 10 within str()'s limit) read in
-    one conversion of the period block instead. `stops` is a cache, so it
+    remainder mod B; where digits._converts allows, they are read in one
+    conversion of the period block instead. `stops` is a cache, so it
     takes no part in ==, hash, repr or pickling."""
 
     __slots__ = ("params", "start", "length", "right_to_left", "stops")
@@ -192,27 +182,19 @@ class PeriodTrace(Record):
 
     @property
     def digits(self) -> tuple[int, ...]:
-        stops = self.stops
+        stops, base = self.stops, self.params.base
         if stops is None:
-            base = self.params.base
-            if base in _FORMAT_CODES and (base != 10 or not 0 < _max_str_digits() < self.length):
-                block = _period_block(self.start, base, self.params.modulus, self.length)
-                return tuple(block[::-1] if self.right_to_left else block)
+            length = self.length
+            if _converts(base, length):
+                # B^L by a shift in bases 2, 8 and 16, which is faster than a power
+                power = base**length if base == 10 else 1 << (base.bit_length() - 1) * length
+                block = to_digit_string(self.start * (power - 1) // self.params.modulus, base, length).digits
+                return block[::-1] if self.right_to_left else block
             stops = self.remainders
-        return tuple(map(mod, stops, repeat(self.params.base)))
+        return tuple(map(mod, stops, repeat(base)))
 
     def __len__(self) -> int:
         return self.length
-
-
-def _period_block(k: int, base: int, m: int, length: int) -> bytes:
-    """The period of k/m, `length` digits in a base of _FORMAT_CODES, one
-    per byte. k/m = q/(base^length - 1), so it is q written in `length`
-    digits, which format() does in C."""
-    # base^length by a shift in bases 2, 8 and 16, which is faster than a power
-    power = base**length if base == 10 else 1 << (base.bit_length() - 1) * length
-    q = k * (power - 1) // m
-    return format(q, _FORMAT_CODES[base]).zfill(length).encode("ascii").translate(_DIGIT_VALUES)
 
 
 def _walk(k: int, base: int, m: int, length: int) -> list[int]:
@@ -241,7 +223,7 @@ def _trace(k: int, params: GraphParams, right_to_left: bool) -> PeriodTrace:
     walked: list[int] = []
     append = walked.append
     r = k
-    if base in _FORMAT_CODES:
+    if _converts(base):
         steps = min(limit, max(_SHORT_CYCLE, math.isqrt(min(limit, m))))
     else:
         steps = limit // 16 + 1

@@ -8,7 +8,7 @@ from __future__ import annotations
 from itertools import chain
 
 from ._record import Record
-from .digits import DIGIT_ALPHABET, decimal_str, digit_symbols
+from .digits import _vertex_labels, decimal_str, digit_symbols
 from .errors import ValidationError
 from .expansion import PeriodTrace, RadixExpansion
 from .graph import FunctionalGraph, census
@@ -40,15 +40,11 @@ def format_expansion(x: RadixExpansion, ascii_style: bool = False) -> str:
     per = x.period.render()
     if not pre and not per:
         return whole
-    try:
-        base = str(x.base)
-    except ValueError:  # str() refuses ints over sys.get_int_max_str_digits() digits
-        base = decimal_str(x.base)
     if ascii_style:
         body = f"{whole}.{pre}({per})" if per else f"{whole}.{pre}"
-        return f"{body}_{base}"
+        return f"{body}_{decimal_str(x.base)}"
     body = f"{whole}.{pre}‾{per}" if per else f"{whole}.{pre}"
-    return f"{body} (base {base})"
+    return f"{body} (base {decimal_str(x.base)})"
 
 
 def _table(headers: list[str], columns: list) -> str:
@@ -139,24 +135,6 @@ def cycle_table(graph: FunctionalGraph, options: ExportOptions = ExportOptions()
         i = next(i for i, c in enumerate(cycles) if highlight in c)
         vertices[i + 1] = " ".join(label(v) + "*" * (v == highlight) for v in cycles[i])
     return "".join(f"{line} | {v}\n" for line, v in zip(counts.splitlines(), vertices))
-
-
-def _vertex_labels(m: int, base: int) -> list[str]:
-    """Labels of the vertices 0..m-1, each as to_digit_string(v, base).render()
-    writes it. The label of v >= base is the label of v // base followed by
-    the symbol of v % base, so the labels are built one power of base at a time."""
-    if base <= 36:
-        symbols, sep = list(DIGIT_ALPHABET[:base]), ""
-    else:
-        symbols, sep = list(map(str, range(base))), ","
-    labels = symbols[:m]
-    start = 1  # labels[start:] are the prefixes of the next power's labels
-    while len(labels) < m:
-        end = min(len(labels), -(-m // base))
-        labels += [head + sep + s for head in labels[start:end] for s in symbols]
-        start = end
-    del labels[m:]
-    return labels if base <= 36 else ["[" + s + "]" for s in labels]
 
 
 def _checked_highlight(options: ExportOptions, m: int) -> int | None:

@@ -1,7 +1,16 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from radixgraph.digits import DigitString, digit_symbols, from_digit_string, rightmost_digit, to_digit_string
+from radixgraph.digits import (
+    DigitString,
+    _converts,
+    digit_symbols,
+    from_digit_string,
+    rightmost_digit,
+    to_digit_string,
+)
 from radixgraph.errors import ValidationError
 
 
@@ -32,6 +41,45 @@ def test_to_digit_string(x, base, width, want):
     s = to_digit_string(x, base, width)
     assert s.digits == want
     assert s.base == base
+
+
+def _reference_digits(x, base, width):
+    """Digits of x by schoolbook divmod, most significant first, zero padded to width."""
+    digits = []
+    while x:
+        x, d = divmod(x, base)
+        digits.append(d)
+    digits += [0] * (max(width, 1) - len(digits))
+    return tuple(reversed(digits))
+
+
+@given(st.integers(0, 10**60), st.one_of(st.sampled_from([2, 8, 10, 16]), st.integers(2, 40)), st.integers(0, 12))
+def test_to_digit_string_equals_the_reference(x, base, width):
+    s = to_digit_string(x, base, width)
+    assert s.base == base
+    assert s.digits == _reference_digits(x, base, width)
+    assert all(type(d) is int for d in s.digits)
+
+
+@pytest.mark.parametrize("length", [4300, 4301])
+def test_to_digit_string_on_both_sides_of_the_str_limit(length):
+    # str() writes at most 4300 digits; past that to_digit_string loops
+    x = 10**length - 3**5000
+    for width in (0, length + 5):
+        assert to_digit_string(x, 10, width).digits == _reference_digits(x, 10, width)
+
+
+@pytest.mark.parametrize("max_str_digits", [0, 1000])
+def test_to_digit_string_follows_the_interpreters_str_limit(max_str_digits):
+    # 4772 digits, converted by format() with str() unlimited, else by the loop
+    x = 3**10000
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(max_str_digits)
+    try:
+        assert _converts(10, 4772) == (max_str_digits == 0)
+        assert to_digit_string(x, 10, 4800).digits == _reference_digits(x, 10, 4800)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_to_digit_string_validates():

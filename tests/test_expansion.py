@@ -68,6 +68,12 @@ def test_fraction_reduced():
     assert str(Fraction(7, 20)) == "7/20"
 
 
+def test_fraction_str_writes_ints_over_4300_digits():
+    # str() refuses ints of more than 4300 digits
+    assert str(Fraction(10**5000, 3)) == "1" + "0" * 5000 + "/3"
+    assert str(Fraction(7, 10**4400 + 1)) == "7/1" + "0" * 4399 + "1"
+
+
 def test_period_digits_unit_cycle():
     t = period_digits(1, GraphParams(10, 4))
     assert t.remainders == (10, 22, 25, 16, 4, 1)
@@ -139,15 +145,16 @@ def test_long_period_walks_match_oracle():
 @pytest.mark.parametrize("base", [2, 8, 10, 16])
 def test_converted_digits_equal_the_walk_on_every_vertex(base):
     # every vertex of every graph with M <= 2000: the walk's digits, read
-    # off the materialized cycle, against the one-conversion period block
+    # off the materialized cycle, against the one-conversion period block (a
+    # PeriodTrace built without stops converts)
     n = 1
     while base * n - 1 <= 2000:
         p = GraphParams(base, n)
         for cyc in build_graph(p).cycles:
             length = len(cyc)
-            walked = bytes(v % base for v in cyc) * 2
+            walked = tuple(v % base for v in cyc) * 2
             for i, v in enumerate(cyc):
-                assert expansion._period_block(v, base, p.modulus, length) == walked[i + 1 : i + 1 + length]
+                assert PeriodTrace(p, v, length).digits == walked[i + 1 : i + 1 + length]
         n += 1
 
 
@@ -440,6 +447,22 @@ def test_integer_part_above_the_preperiod_cap_is_refused():
         with pytest.raises(CapacityError, match=f"integer part of more than {bits} bits"):
             expand(f, 3)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("base", [2, 8, 16])
+def test_integer_part_at_the_cap_converts_in_one_pass(base):
+    # a 2^16-bit integer part is one format() in these bases, not a divmod per digit
+    whole = 2**expansion.PREPERIOD_BITS - 12345
+    f = Fraction(7 * whole + 3, 7)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        x, _ = expand(f, base)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.05
+    assert int(x.integer_part.render(), base) == whole
+    want = long_division_oracle(Fraction(3, 7), base)
+    assert (x.preperiod, x.period) == (want.preperiod, want.period)
 
 
 def test_expand_validates_base():

@@ -4,7 +4,7 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radixgraph.digits import decimal_str, to_digit_string
+from radixgraph.digits import _vertex_labels, decimal_str, to_digit_string
 from radixgraph.errors import ValidationError
 from radixgraph.expansion import Fraction, expand, period_digits, period_digits_reversed
 from radixgraph.export import (
@@ -15,7 +15,7 @@ from radixgraph.export import (
     graph_to_dot,
     graph_to_json,
 )
-from radixgraph.export import _table, _vertex_labels, trace_table
+from radixgraph.export import _table, trace_table
 from radixgraph.graph import GraphParams, build_graph, census
 
 
